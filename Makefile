@@ -1,4 +1,4 @@
-.PHONY: check build fmt vet test race bench bench-smoke bench-json bench-gate fuzz-smoke snapshot-smoke mmap-smoke cluster-smoke replica-smoke shed-smoke trace-smoke ingest-smoke
+.PHONY: check build fmt vet test race bench bench-smoke bench-module bench-json bench-gate fuzz-smoke snapshot-smoke mmap-smoke cluster-smoke replica-smoke shed-smoke trace-smoke ingest-smoke
 
 # The full pre-merge gate: gofmt cleanliness, build everything, vet,
 # run the test suite under the race detector (the parallel scan and
@@ -31,6 +31,15 @@ bench:
 # ≤2% on BenchmarkSuggest) without the cost of a full bench run.
 bench-smoke:
 	go test -run='^$$' -bench='^BenchmarkSuggest$$' -benchtime=1x .
+
+# The bench/ module (the repository's benchmark, BENCHMARK.json) is not
+# part of ./..., so an internal signature it compiles against can break
+# it unnoticed: vet and build it, then run its six workloads at smoke
+# size, every answer checked against a cold heap monolith. (-o: a lone
+# main package would otherwise leave its binary in bench/.)
+bench-module:
+	cd bench && go vet ./... && go build -o /dev/null ./...
+	bash bench/run.sh -smoke
 
 # Bounded fuzz pass over the untrusted-bytes decoders: the snapshot
 # split-posting-list decoder and the whole snapfile open path.

@@ -796,7 +796,11 @@ func (e *Engine) scanShard(ctx context.Context, kws []Keyword, shard, nShards in
 			}
 			sinceCheck--
 		}
-		g := anchor.Truncate(d)
+		// anchor aliases the head of a list this iteration advances
+		// (invindex.Entry's lifetime), so the subtree root is copied
+		// before any list moves.
+		sc.anchor = append(sc.anchor[:0], anchor.Truncate(d)...)
+		g := sc.anchor
 		if e.deadOrds != nil && len(g) >= 2 && e.deadOrds[g[1]] {
 			// Tombstoned document: gallop every list past its subtree
 			// without reading the postings.

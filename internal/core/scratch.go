@@ -17,12 +17,17 @@ import (
 type scanScratch struct {
 	lists  []*invindex.MergedList
 	tokens []string
+	// anchor holds the current subtree root, copied off the list head
+	// it was derived from.
+	anchor xmltree.Dewey
 	// typeCache memoizes result-type inference per candidate key. It is
 	// cleared on release: the pool is shared across engines, and a type
 	// cached against one index is wrong for another.
 	typeCache map[string]xmltree.PathID
 	// occ[i] collects postings of keyword i's variants inside the
-	// current anchor subtree, densely indexed by variant ordinal.
+	// current anchor subtree, densely indexed by variant ordinal. Their
+	// codes belong to lists[i] and live until it next moves — the next
+	// anchor — which is as long as enumeration reads them.
 	occ []occSet
 	// present[i] lists the variant indices of keyword i observed in the
 	// current subtree, sorted.
@@ -109,14 +114,16 @@ func getScanScratch(nk int) *scanScratch {
 
 // release returns the scratch to the pool. Index-specific state (the
 // type cache, merged-list cursors) is dropped; capacity-bearing buffers
-// are kept warm.
+// are kept warm. The occurrence tables go first: their codes alias the
+// lists' storage, which Release hands to the next query.
 func (s *scanScratch) release() {
 	clear(s.typeCache)
-	for i := range s.lists {
-		s.lists[i] = nil
-	}
 	for i := range s.occ {
 		s.occ[i].reset() // restore the all-empty invariant
+	}
+	for i, l := range s.lists {
+		l.Release()
+		s.lists[i] = nil
 	}
 	s.resetGroups()
 	scanPool.Put(s)

@@ -111,12 +111,19 @@ func TestSuggestWithSpacesAggregatesStats(t *testing.T) {
 	raw := tokenizer.TokenizeRaw(query)
 	var want Stats
 	productive := 0
-	for _, sh := range e.expandShapes(raw, e.cfg.tau()) {
+	shapes := e.expandShapes(raw, e.cfg.tau())
+	// space.go's own rule: with several shapes and several workers the
+	// fan-out is across shapes and each shape scans sequentially.
+	inner := e.cfg.workers()
+	if inner > 1 && len(shapes) > 1 {
+		inner = 1
+	}
+	for _, sh := range shapes {
 		kept := e.filterShape(sh.tokens)
 		if len(kept) == 0 {
 			continue
 		}
-		_, st, _ := e.suggestKeywordsN(context.Background(), e.keywordsFor(kept), e.cfg.workers(), nil)
+		_, st, _ := e.suggestKeywordsN(context.Background(), e.keywordsFor(kept), inner, nil)
 		if st.Subtrees > 0 {
 			productive++
 		}

@@ -3,6 +3,7 @@ package invindex
 import (
 	"container/heap"
 	"sort"
+	"sync"
 
 	"xclean/internal/postings"
 	"xclean/internal/xmltree"
@@ -10,6 +11,17 @@ import (
 
 // Entry is one element surfaced by a MergedList: a posting together
 // with the variant token it belongs to.
+//
+// Lifetime: the Dewey code of an Entry may alias a buffer its
+// MergedList reuses (streamed members decode in place). An Entry
+// returned by CurPos, Next or SkipTo is valid until the next Next,
+// SkipTo or CollectSubtree on that same MergedList; the entries handed
+// to one CollectSubtree callback all stay valid together until the next
+// such moving call on that list. CurPos and Exhausted never invalidate
+// anything, and other lists moving never does. Clone the code to keep
+// it longer. One copy every scan owes: a SkipTo target or subtree root
+// derived from a head (anchor.Truncate(d)) aliases the cursor the call
+// is about to advance, so it must be copied before any list moves.
 type Entry struct {
 	Posting
 	Token string
@@ -25,7 +37,7 @@ type listCursor interface {
 	exhausted() bool
 	// head returns the current posting; only valid while !exhausted().
 	// The returned pointer (and its Dewey) is valid until the next
-	// advance/skipTo call; MergedList copies before yielding.
+	// advance/skipTo call on this cursor.
 	head() *Posting
 	advance()
 	// skipTo advances to the first posting ≥ d in document order.
@@ -79,27 +91,20 @@ func (c *sliceCursor) skipTo(d xmltree.Dewey, linear bool) {
 
 // compCursor streams a compressed posting list. Skipping uses the
 // codec's block skip table; the linear flag is ignored because blocks
-// must be decoded sequentially regardless.
+// must be decoded sequentially regardless. The head's Dewey aliases the
+// iterator's code buffer — nothing is copied per posting; MergedList
+// upholds the Entry lifetime on top of that.
 type compCursor struct {
-	it  *postings.Iterator
+	it  postings.Iterator
 	cur Posting
 	ok  bool
 }
 
-func newCompCursor(l *postings.List) *compCursor {
-	c := &compCursor{it: l.Iter()}
-	c.refresh()
-	return c
-}
-
-// refresh copies the iterator head, cloning the Dewey code out of the
-// iterator's reused buffer so consumers may retain it.
-func (c *compCursor) refresh() {
-	p, ok := c.it.Head()
-	if ok {
-		p.Dewey = p.Dewey.Clone()
-	}
-	c.cur, c.ok = p, ok
+// reset points the cursor at the start of l, reusing the iterator and
+// its code buffer; reset(nil) drops every reference to the old list.
+func (c *compCursor) reset(l *postings.List) {
+	c.it.Reset(l)
+	c.cur, c.ok = c.it.Head()
 }
 
 func (c *compCursor) exhausted() bool { return !c.ok }
@@ -108,13 +113,12 @@ func (c *compCursor) head() *Posting { return &c.cur }
 
 func (c *compCursor) advance() {
 	c.it.Advance()
-	c.refresh()
+	c.cur, c.ok = c.it.Head()
 }
 
 func (c *compCursor) skipTo(d xmltree.Dewey, linear bool) {
 	if c.ok && c.cur.Dewey.Compare(d) < 0 {
-		c.it.SkipTo(d)
-		c.refresh()
+		c.cur, c.ok = c.it.SkipTo(d)
 	}
 }
 
@@ -123,14 +127,92 @@ type member struct {
 	listCursor
 	token    string
 	tokenIdx int
+	// linear is SetLinearSkip's flag. It lives here, in the padding of
+	// member's allocation size class, so that the stream pointer does
+	// not push a slice-backed MergedList into a larger one.
+	linear bool
 }
 
 // MergedList presents the inverted lists of all variants of one query
 // keyword as a single list sorted in document order (Section V-C). It
-// is implemented as a min-heap over the member list heads.
+// is implemented as a min-heap over the member list heads. The codes it
+// hands out follow the lifetime stated on Entry.
 type MergedList struct {
-	h          cursorHeap
-	linearSkip bool
+	h cursorHeap
+	// stream is the pooled storage behind a list whose members stream
+	// compressed lists; nil for slice-backed lists.
+	stream *streamStore
+}
+
+// streamStore is everything one streamed MergedList needs — the list
+// itself, its members, their cursors with the iterators' code buffers,
+// and the copies that give streamed entries their lifetime — so that a
+// released list's next user allocates nothing.
+type streamStore struct {
+	list    MergedList
+	members []member
+	cursors []compCursor // len == cap; cursors[k] serves members[k]
+	// codes holds the code Next last returned, or every code of the
+	// current CollectSubtree: the cursor overwrites its buffer as it
+	// advances, the copies outlive that until the next moving call.
+	codes []uint32
+}
+
+var streamPool = sync.Pool{New: func() interface{} { return new(streamStore) }}
+
+// NewStreamedMergedList builds a merged list whose members stream the
+// compressed lists that list returns for tokens (nil, empty and
+// unreadable lists are skipped), straight off their payloads: a
+// compacted index's, or a snapshot reader's mapped block bytes. list is
+// only called before NewStreamedMergedList returns. The storage comes
+// from a pool; Release hands it back.
+func NewStreamedMergedList(tokens []string, list func(tok string) *postings.List) *MergedList {
+	s := streamPool.Get().(*streamStore)
+	if n := len(tokens); cap(s.members) < n {
+		s.members = make([]member, 0, n)
+		cursors := make([]compCursor, n)
+		copy(cursors, s.cursors) // keep the warm code buffers
+		s.cursors = cursors
+		s.list.h = make(cursorHeap, 0, n)
+	}
+	m := &s.list
+	m.stream = s
+	for i, tok := range tokens {
+		l := list(tok)
+		if l == nil {
+			continue
+		}
+		k := len(s.members)
+		c := &s.cursors[k]
+		if c.reset(l); c.exhausted() {
+			c.reset(nil)
+			continue
+		}
+		s.members = append(s.members, member{listCursor: c, token: tok, tokenIdx: i})
+		m.h = append(m.h, &s.members[k])
+	}
+	heap.Init(&m.h)
+	return m
+}
+
+// Release returns a streamed list's storage to the pool, after
+// dropping every reference it holds to posting payloads (a pooled
+// cursor must never be what touches a snapshot mapping after its reader
+// is gone) and to the tokens. The list, and every Entry it produced,
+// must not be used afterwards. Releasing is optional — an unreleased
+// list is simply collected — and a no-op on slice-backed lists.
+func (m *MergedList) Release() {
+	s := m.stream
+	if s == nil {
+		return
+	}
+	for i := range s.members {
+		s.cursors[i].reset(nil)
+	}
+	clear(s.members)
+	s.members = s.members[:0]
+	*m = MergedList{h: m.h[:0]} // h only ever points into s.members
+	streamPool.Put(s)
 }
 
 // NewMergedList builds a merged list over the postings of the given
@@ -157,23 +239,16 @@ func NewMergedList(tokens []string, lists [][]Posting) *MergedList {
 // compressed cursors on a compacted index (no per-query decode of whole
 // lists).
 func (ix *Index) MergedListFor(tokens []string) *MergedList {
+	if ix.comp != nil {
+		return NewStreamedMergedList(tokens, func(tok string) *postings.List { return ix.comp[tok] })
+	}
 	m := &MergedList{}
 	for i, tok := range tokens {
-		var c listCursor
-		if ix.comp != nil {
-			l, ok := ix.comp[tok]
-			if !ok || l.Len() == 0 {
-				continue
-			}
-			c = newCompCursor(l)
-		} else {
-			pl := ix.postings[tok]
-			if len(pl) == 0 {
-				continue
-			}
-			c = &sliceCursor{list: pl}
+		pl := ix.postings[tok]
+		if len(pl) == 0 {
+			continue
 		}
-		m.h = append(m.h, &member{listCursor: c, token: tok, tokenIdx: i})
+		m.h = append(m.h, &member{listCursor: &sliceCursor{list: pl}, token: tok, tokenIdx: i})
 	}
 	heap.Init(&m.h)
 	return m
@@ -181,7 +256,11 @@ func (ix *Index) MergedListFor(tokens []string) *MergedList {
 
 // SetLinearSkip switches SkipTo to linear scanning (for the skipping
 // ablation benchmark). It affects raw-slice cursors only.
-func (m *MergedList) SetLinearSkip(v bool) { m.linearSkip = v }
+func (m *MergedList) SetLinearSkip(v bool) {
+	for _, c := range m.h {
+		c.linear = v
+	}
+}
 
 // CurPos returns the head of the merged list without consuming it.
 func (m *MergedList) CurPos() (Entry, bool) {
@@ -199,6 +278,11 @@ func (m *MergedList) Next() (Entry, bool) {
 	}
 	c := m.h[0]
 	e := Entry{Posting: *c.head(), Token: c.token, TokenIdx: c.tokenIdx}
+	if s := m.stream; s != nil {
+		// The advance below overwrites the buffer e.Dewey aliases.
+		s.codes = append(s.codes[:0], e.Dewey...)
+		e.Dewey = s.codes
+	}
 	c.advance()
 	if c.exhausted() {
 		heap.Pop(&m.h)
@@ -215,7 +299,7 @@ func (m *MergedList) SkipTo(d xmltree.Dewey) (Entry, bool) {
 	// then rebuild the heap, as described in Section V-C.
 	kept := m.h[:0]
 	for _, c := range m.h {
-		c.skipTo(d, m.linearSkip)
+		c.skipTo(d, c.linear)
 		if !c.exhausted() {
 			kept = append(kept, c)
 		}
@@ -235,21 +319,38 @@ func (m *MergedList) SkipTo(d xmltree.Dewey) (Entry, bool) {
 // so member lists already positioned beyond the subtree cost nothing —
 // the skipping behaviour Section V-C relies on.
 func (m *MergedList) CollectSubtree(g xmltree.Dewey, fn func(Entry)) {
+	s := m.stream
+	if s != nil {
+		s.codes = s.codes[:0]
+	}
 	for len(m.h) > 0 {
 		c := m.h[0]
 		head := c.head().Dewey
 		switch {
 		case head.Compare(g) < 0:
-			c.skipTo(g, m.linearSkip)
-		case g.AncestorOrSelf(head):
+			c.skipTo(g, c.linear)
+		case !g.AncestorOrSelf(head):
+			// The earliest head is already past the subtree; so is
+			// everything else.
+			return
+		case s == nil:
 			for !c.exhausted() && g.AncestorOrSelf(c.head().Dewey) {
 				fn(Entry{Posting: *c.head(), Token: c.token, TokenIdx: c.tokenIdx})
 				c.advance()
 			}
 		default:
-			// The earliest head is already past the subtree; so is
-			// everything else.
-			return
+			// Streamed member: each code is copied into the list's arena
+			// before the cursor advances over it, so the whole subtree's
+			// entries stay valid together. Growing the arena leaves the
+			// earlier copies intact in the array they were made in.
+			for !c.exhausted() && g.AncestorOrSelf(c.head().Dewey) {
+				e := Entry{Posting: *c.head(), Token: c.token, TokenIdx: c.tokenIdx}
+				from := len(s.codes)
+				s.codes = append(s.codes, e.Dewey...)
+				e.Dewey = s.codes[from:len(s.codes):len(s.codes)]
+				fn(e)
+				c.advance()
+			}
 		}
 		if c.exhausted() {
 			heap.Pop(&m.h)

@@ -1,9 +1,6 @@
 package invindex
 
 import (
-	"container/heap"
-
-	"xclean/internal/postings"
 	"xclean/internal/tokenizer"
 	"xclean/internal/xmltree"
 )
@@ -75,23 +72,3 @@ func (ix *Index) PathTable() *xmltree.PathTable { return ix.Paths }
 
 // Vocabulary returns the index's vocabulary (Source).
 func (ix *Index) Vocabulary() VocabView { return ix.Vocab }
-
-// MergedListFromLists builds a merged list whose members stream the
-// given compressed lists; lists[i] is the inverted list of tokens[i]
-// (nil or empty lists are skipped). Snapshot readers use it to serve
-// MergedListFor straight off mmap'd block payloads.
-func MergedListFromLists(tokens []string, lists []*postings.List) *MergedList {
-	m := &MergedList{}
-	for i, l := range lists {
-		if l == nil || l.Len() == 0 {
-			continue
-		}
-		m.h = append(m.h, &member{
-			listCursor: newCompCursor(l),
-			token:      tokens[i],
-			tokenIdx:   i,
-		})
-	}
-	heap.Init(&m.h)
-	return m
-}

@@ -111,11 +111,13 @@ func ListOverPayload(payload, meta []byte) (*List, error) {
 		if err != nil {
 			return nil, err
 		}
-		if firstLen < 1 || firstLen > 255 {
+		// Each component costs at least one metadata byte, so a length
+		// beyond the bytes left is impossible — and the bound keeps the
+		// appends below from being sized by an unvalidated count.
+		if firstLen < 1 || firstLen > uint64(len(meta)-read) {
 			return nil, fmt.Errorf("postings: block %d has impossible first-code length %d", b, firstLen)
 		}
 		l.offs = append(l.offs, off)
-		l.firsts = append(l.firsts, uint8(firstLen))
 		l.skipStart = append(l.skipStart, len(l.skipComps))
 		for i := uint64(0); i < firstLen; i++ {
 			c, err := uv()

@@ -44,11 +44,10 @@ const BlockSize = 128
 
 // List is one immutable compressed posting list.
 type List struct {
-	data   []byte  // concatenated block payloads
-	offs   []int   // byte offset of each block in data
-	firsts []uint8 // length (components) of each block's first dewey
-	// skips[i] is the first Dewey code of block i, all codes
-	// concatenated; skipStart[i] indexes its start (component units).
+	data []byte // concatenated block payloads
+	offs []int  // byte offset of each block in data
+	// Block i's first Dewey code is skipComps[skipStart[i]:skipStart[i+1]]
+	// (all codes concatenated; skipStart has one trailing entry).
 	skipComps []uint32
 	skipStart []int
 	n         int
@@ -69,7 +68,6 @@ func Encode(ps []Posting) *List {
 	for i, p := range ps {
 		if i%BlockSize == 0 {
 			l.offs = append(l.offs, len(l.data))
-			l.firsts = append(l.firsts, uint8(len(p.Dewey)))
 			l.skipStart = append(l.skipStart, len(l.skipComps))
 			l.skipComps = append(l.skipComps, p.Dewey...)
 			prev = nil
@@ -111,7 +109,7 @@ func (l *List) SizeBytes() int { return len(l.data) }
 // blockFirst returns block i's first Dewey code (aliases internal
 // storage; callers must not mutate).
 func (l *List) blockFirst(i int) xmltree.Dewey {
-	return xmltree.Dewey(l.skipComps[l.skipStart[i] : l.skipStart[i]+int(l.firsts[i])])
+	return xmltree.Dewey(l.skipComps[l.skipStart[i]:l.skipStart[i+1]])
 }
 
 func (l *List) blocks() int { return len(l.offs) }
@@ -152,6 +150,17 @@ func (l *List) Iter() *Iterator {
 		it.decodeNext()
 	}
 	return it
+}
+
+// Reset repositions an existing iterator at the first posting of l,
+// keeping its code buffer, so a pooled iterator walks list after list
+// without allocating. Reset(nil) drops every reference to the previous
+// list and leaves the iterator exhausted.
+func (it *Iterator) Reset(l *List) {
+	*it = Iterator{l: l, curD: it.curD[:0]}
+	if l != nil && l.n > 0 {
+		it.decodeNext()
+	}
 }
 
 // Head returns the current posting without advancing. The posting's
@@ -360,7 +369,6 @@ func (l *List) indexBlock(off int) error {
 		return fmt.Errorf("postings: corrupt block at offset %d", off)
 	}
 	l.skipStart = append(l.skipStart, len(l.skipComps))
-	l.firsts = append(l.firsts, uint8(suffix))
 	for i := 0; i < int(suffix); i++ {
 		c, ok := uv()
 		if !ok {

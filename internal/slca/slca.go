@@ -247,6 +247,11 @@ func (e *Engine) suggestObserved(ctx context.Context, query string, explain bool
 		lists[i] = e.ix.MergedListFor(tokens)
 		lists[i].SetLinearSkip(e.cfg.LinearSkip)
 	}
+	defer func() {
+		for _, l := range lists {
+			l.Release()
+		}
+	}()
 
 	aggs := make(map[string]*candAgg)
 	occ := make([]map[int][]invindex.Posting, len(kws))
@@ -258,6 +263,7 @@ func (e *Engine) suggestObserved(ctx context.Context, query string, explain bool
 	// at the same granularity as the core engine's scan shards.
 	done := ctx.Done()
 	sinceCheck := 0
+	var g xmltree.Dewey // reused copy of the current subtree root
 	anchor, ok := maxHead(lists)
 	for ok {
 		if done != nil {
@@ -274,7 +280,11 @@ func (e *Engine) suggestObserved(ctx context.Context, query string, explain bool
 			}
 			sinceCheck--
 		}
-		g := anchor.Truncate(d)
+		// anchor aliases the head of a list CollectSubtree is about to
+		// advance (invindex.Entry's lifetime): copy before any list moves.
+		// The occ postings collected below stay valid until their list
+		// next moves, i.e. through this iteration's enumerate.
+		g = append(g[:0], anchor.Truncate(d)...)
 		for i := range occ {
 			for k := range occ[i] {
 				delete(occ[i], k)

@@ -72,6 +72,10 @@ const (
 	secBigramVals  = 13 // n × u64 adjacency counts
 	secStoredKeys  = 14 // (n+1) u64 offsets + Dewey-key heap (doc order)
 	secStoredTexts = 15 // (n+1) u64 offsets + text heap
+
+	// numSections bounds the ids above; the reader indexes its section
+	// array by id.
+	numSections = 16
 )
 
 // vocabRecLen is the fixed size of one vocabulary record:

@@ -60,19 +60,27 @@ func FuzzOpen(f *testing.F) {
 		if len(probe) > 16 {
 			probe = probe[:16]
 		}
-		for _, tok := range append(probe, "absent") {
-			v := r.Vocabulary()
-			_ = v.Contains(tok)
-			_ = v.Count(tok)
-			_ = v.Prob(tok)
-			_ = r.DocFreq(tok)
-			_ = r.TypeList(tok)
-			m := r.MergedListFor([]string{tok})
-			for i := 0; i < 300; i++ {
-				if _, ok := m.Next(); !ok {
-					break
+		// Two rounds: the first resolves each token (and memoises the
+		// healthy ones), the second is served from the memo.
+		for round := 0; round < 2; round++ {
+			for _, tok := range append(probe, "absent") {
+				v := r.Vocabulary()
+				_ = v.Contains(tok)
+				_ = v.Count(tok)
+				_ = v.Prob(tok)
+				_ = r.DocFreq(tok)
+				_ = r.TypeList(tok)
+				m := r.MergedListFor([]string{tok})
+				for i := 0; i < 300; i++ {
+					if _, ok := m.Next(); !ok {
+						break
+					}
 				}
+				m.Release()
 			}
+		}
+		if n := memoLen(r); n > len(probe) {
+			t.Fatalf("memo holds %d entries after probing %d tokens", n, len(probe))
 		}
 		for p := xmltree.PathID(0); int(p) < r.PathTable().Len(); p++ {
 			_ = r.PathDepth(p)

@@ -1,7 +1,6 @@
 package snapfile
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -47,8 +46,12 @@ type Reader struct {
 	path  string
 	flags uint32
 
-	// section table: id → payload slice into data.
-	secs map[uint32][]byte
+	// secs[id] is the payload of section id, a slice into data; bit id
+	// of have is set when the file carries it. Sections a future writer
+	// adds under other ids are bounds-checked at open and checksummed
+	// by Verify, which walks the file's own table, but never indexed.
+	secs [numSections][]byte
+	have uint32
 
 	// meta scalars.
 	nodeCount  int
@@ -64,11 +67,9 @@ type Reader struct {
 
 	paths *xmltree.PathTable
 
-	// typeCache memoizes decoded type lists per token; type inference
-	// probes the same tokens repeatedly per query, and the heap backend
-	// returns cached slices, so the mmap backend matches its
-	// allocation profile for touched tokens only.
-	typeCache sync.Map // string → []invindex.TypeCount
+	// memo holds one *tokenEntry per vocabulary token that a query has
+	// touched (string → *tokenEntry); see token.
+	memo sync.Map
 
 	closeOnce sync.Once
 }
@@ -140,7 +141,7 @@ func (r *Reader) parse() error {
 		return corruptf("%s: truncated (footer says %d bytes, have %d)", r.path, got, len(d))
 	}
 	footOff := len(d) - footLen
-	r.secs = make(map[uint32][]byte, count)
+	var unknown map[uint32]bool // ids beyond this build's, seen so far
 	for i := 0; i < count; i++ {
 		e := table[i*secEntryLen:]
 		id := getU32(e[0:])
@@ -152,9 +153,20 @@ func (r *Reader) parse() error {
 		if getU32(d[footOff+i*footEntryLen:]) != id {
 			return corruptf("%s: footer/table section order mismatch", r.path)
 		}
-		if _, dup := r.secs[id]; dup {
+		if id >= numSections {
+			if unknown[id] {
+				return corruptf("%s: duplicate section %d", r.path, id)
+			}
+			if unknown == nil {
+				unknown = make(map[uint32]bool)
+			}
+			unknown[id] = true
+			continue
+		}
+		if r.has(id) {
 			return corruptf("%s: duplicate section %d", r.path, id)
 		}
+		r.have |= 1 << id
 		r.secs[id] = d[off : off+length]
 	}
 	// Verify and parse the two sections materialized at open.
@@ -169,33 +181,44 @@ func (r *Reader) parse() error {
 	return r.parsePaths()
 }
 
-// verifySection checks one section's footer CRC.
-func (r *Reader) verifySection(id uint32) error {
-	sec, ok := r.secs[id]
-	if !ok {
-		return corruptf("%s: section %d missing", r.path, id)
-	}
+// has reports whether the file carries section id.
+func (r *Reader) has(id uint32) bool { return id < numSections && r.have&(1<<id) != 0 }
+
+// verifyEntry checks the payload of section-table entry i against its
+// footer CRC. Open has bounds-checked every entry and matched the
+// footer's order to the table's.
+func (r *Reader) verifyEntry(i int) error {
 	d := r.data
 	count := int(getU32(d[8:]))
-	footOff := len(d) - (footEntryLen*count + footTailLen)
-	for i := 0; i < count; i++ {
-		e := d[footOff+i*footEntryLen:]
-		if getU32(e) == id {
-			if crcOf(sec) != getU32(e[4:]) {
-				return corruptf("%s: section %d checksum mismatch", r.path, id)
-			}
-			return nil
-		}
+	e := d[headerLen+i*secEntryLen:]
+	off, length := getU64(e[8:]), getU64(e[16:])
+	foot := d[len(d)-(footEntryLen*count+footTailLen)+i*footEntryLen:]
+	if crcOf(d[off:off+length]) != getU32(foot[4:]) {
+		return corruptf("%s: section %d checksum mismatch", r.path, getU32(e))
 	}
-	return corruptf("%s: section %d has no footer checksum", r.path, id)
+	return nil
 }
 
-// Verify runs a full checksum pass over every section. It reads the
-// whole file (sequential, page-cache friendly) and is the integrity
-// check the catalog runs in the background after a warm-start.
+// verifySection checks one section's footer CRC.
+func (r *Reader) verifySection(id uint32) error {
+	count := int(getU32(r.data[8:]))
+	for i := 0; i < count; i++ {
+		if getU32(r.data[headerLen+i*secEntryLen:]) == id {
+			return r.verifyEntry(i)
+		}
+	}
+	return corruptf("%s: section %d missing", r.path, id)
+}
+
+// Verify runs a full checksum pass over every section in the file's
+// table, including ones this build does not know. It reads the whole
+// file (sequential, page-cache friendly) and is the integrity check
+// the catalog runs in the background after a warm-start. It reads
+// record and payload bytes directly, never through the token memo.
 func (r *Reader) Verify() error {
-	for id := range r.secs {
-		if err := r.verifySection(id); err != nil {
+	count := int(getU32(r.data[8:]))
+	for i := 0; i < count; i++ {
+		if err := r.verifyEntry(i); err != nil {
 			return err
 		}
 	}
@@ -274,10 +297,10 @@ func (r *Reader) parseMeta() error {
 		)
 	}
 	for _, c := range checks {
-		sec, ok := r.secs[c.id]
-		if !ok {
+		if !r.has(c.id) {
 			return corruptf("%s: section %d missing", r.path, c.id)
 		}
+		sec := r.secs[c.id]
 		if c.want >= 0 && int64(len(sec)) != c.want {
 			return corruptf("%s: section %d is %d bytes, want %d", r.path, c.id, len(sec), c.want)
 		}
@@ -286,7 +309,7 @@ func (r *Reader) parseMeta() error {
 		}
 	}
 	for _, id := range []uint32{secVocabNames, secPostings, secSkips, secTypes, secPathEnts} {
-		if _, ok := r.secs[id]; !ok {
+		if !r.has(id) {
 			return corruptf("%s: section %d missing", r.path, id)
 		}
 	}
@@ -386,25 +409,26 @@ func (r *Reader) sliceOf(id uint32, off uint64, length uint32) []byte {
 	return sec[off : off+uint64(length)]
 }
 
+// tokenName reads only the two name fields of record i.
 func (r *Reader) tokenName(i int) []byte {
-	rec := r.rec(i)
-	return r.sliceOf(secVocabNames, rec.nameOff, rec.nameLen)
+	b := r.secs[secVocabRec][i*vocabRecLen:]
+	return r.sliceOf(secVocabNames, getU64(b[0:]), getU32(b[40:]))
 }
 
 // findToken binary-searches the sorted vocabulary; returns -1 when
-// absent.
+// absent. Names are compared in place: a string(bytes) conversion that
+// only feeds a comparison neither copies nor allocates.
 func (r *Reader) findToken(tok string) int {
-	i := sort.Search(r.tokens, func(i int) bool {
-		return bytes.Compare(r.tokenName(i), []byte(tok)) >= 0
-	})
-	if i < r.tokens && bytes.Equal(r.tokenName(i), []byte(tok)) {
+	i := sort.Search(r.tokens, func(i int) bool { return string(r.tokenName(i)) >= tok })
+	if i < r.tokens && string(r.tokenName(i)) == tok {
 		return i
 	}
 	return -1
 }
 
 // list rebuilds the compressed posting list of record i over the
-// mmap'd payload — O(blocks), no payload page faults.
+// mmap'd payload — O(blocks), no payload page faults. Every range is
+// bounds-checked and the skip blob fully validated; nil means corrupt.
 func (r *Reader) list(i int) *postings.List {
 	rec := r.rec(i)
 	payload := r.sliceOf(secPostings, rec.postOff, rec.postLen)
@@ -417,6 +441,69 @@ func (r *Reader) list(i int) *postings.List {
 		return nil
 	}
 	return l
+}
+
+// typeList decodes the type list of record i (nil when corrupt).
+func (r *Reader) typeList(i int) []invindex.TypeCount {
+	rec := r.rec(i)
+	return decodeTypeList(r.sliceOf(secTypes, rec.typeOff, rec.typeLen))
+}
+
+// tokenEntry is what the memo keeps for one vocabulary token: the two
+// statistics scoring reads per word, the posting list validated and
+// built once over the mapped payload, and the type list decoded on
+// first use. Entries are immutable once published (types behind its
+// Once) and shared by concurrent queries.
+type tokenEntry struct {
+	idx   int // vocabulary record index
+	count int64
+	df    int
+	list  *postings.List
+
+	typesOnce sync.Once
+	types     []invindex.TypeCount
+}
+
+// token resolves tok for every per-token accessor. A token that is
+// present and whose posting list passes validation is served from the
+// memo: scoring asks for the same few words thousands of times per
+// query, and unmemoised each answer is a binary search over the mapped
+// records and each scan a re-validation of the skip blob. Only such
+// hits are ever stored, so
+// the memo holds at most one entry per vocabulary token however many
+// garbage tokens untrusted queries probe. For a present token whose
+// record or skip blob is corrupt, e is nil and i its record index: the
+// scalar accessors still answer from the record, list accessors treat
+// it as absent, and the next call searches again. Absent: nil, -1.
+func (r *Reader) token(tok string) (e *tokenEntry, i int) {
+	if v, ok := r.memo.Load(tok); ok {
+		e = v.(*tokenEntry)
+		return e, e.idx
+	}
+	i = r.findToken(tok)
+	if i < 0 {
+		return nil, -1
+	}
+	l := r.list(i)
+	if l == nil {
+		return nil, i
+	}
+	rec := r.rec(i)
+	// The key is cloned: tok may be a substring of a caller's buffer.
+	v, _ := r.memo.LoadOrStore(strings.Clone(tok), &tokenEntry{idx: i, count: rec.count, df: int(rec.df), list: l})
+	return v.(*tokenEntry), i
+}
+
+// count is the collection frequency of tok and whether it is present.
+func (r *Reader) count(tok string) (int64, bool) {
+	e, i := r.token(tok)
+	switch {
+	case e != nil:
+		return e.count, true
+	case i >= 0:
+		return r.rec(i).count, true
+	}
+	return 0, false
 }
 
 // ── invindex.Source ──────────────────────────────────────────────────
@@ -435,13 +522,14 @@ type vocabView Reader
 
 func (v *vocabView) r() *Reader { return (*Reader)(v) }
 
-func (v *vocabView) Contains(w string) bool { return v.r().findToken(w) >= 0 }
+func (v *vocabView) Contains(w string) bool {
+	_, ok := v.r().count(w)
+	return ok
+}
 
 func (v *vocabView) Count(w string) int64 {
-	if i := v.r().findToken(w); i >= 0 {
-		return v.r().rec(i).count
-	}
-	return 0
+	n, _ := v.r().count(w)
+	return n
 }
 
 func (v *vocabView) Total() int64 { return v.r().vocabTotal }
@@ -456,11 +544,11 @@ func (v *vocabView) Prob(w string) float64 {
 	if denom == 0 {
 		return 0
 	}
-	i := r.findToken(w)
-	if i < 0 {
+	n, ok := r.count(w)
+	if !ok {
 		return 1 / denom
 	}
-	return (float64(r.rec(i).count) + 1) / denom
+	return (float64(n) + 1) / denom
 }
 
 // VocabList materializes the sorted token list (engine construction
@@ -475,20 +563,28 @@ func (r *Reader) VocabList() []string {
 }
 
 // MergedListFor builds the Section V-C merged list over mmap-backed
-// compressed cursors.
+// compressed cursors drawn from invindex's pool; see
+// (*invindex.MergedList).Release.
 func (r *Reader) MergedListFor(tokens []string) *invindex.MergedList {
-	lists := make([]*postings.List, len(tokens))
-	for i, tok := range tokens {
-		if j := r.findToken(tok); j >= 0 {
-			lists[i] = r.list(j)
-		}
+	return invindex.NewStreamedMergedList(tokens, r.postingList)
+}
+
+// postingList is the memoised posting list of tok, nil when tok is
+// absent or its list unreadable.
+func (r *Reader) postingList(tok string) *postings.List {
+	if e, _ := r.token(tok); e != nil {
+		return e.list
 	}
-	return invindex.MergedListFromLists(tokens, lists)
+	return nil
 }
 
 // DocFreq is df(w).
 func (r *Reader) DocFreq(tok string) int {
-	if i := r.findToken(tok); i >= 0 {
+	e, i := r.token(tok)
+	switch {
+	case e != nil:
+		return e.df
+	case i >= 0:
 		return int(r.rec(i).df)
 	}
 	return 0
@@ -497,18 +593,15 @@ func (r *Reader) DocFreq(tok string) int {
 // TypeList returns the (path, f_p^w) list of tok, decoding it from the
 // type-blob section on first use and memoizing it.
 func (r *Reader) TypeList(tok string) []invindex.TypeCount {
-	if v, ok := r.typeCache.Load(tok); ok {
-		return v.([]invindex.TypeCount)
+	e, i := r.token(tok)
+	switch {
+	case e != nil:
+		e.typesOnce.Do(func() { e.types = r.typeList(e.idx) })
+		return e.types
+	case i >= 0:
+		return r.typeList(i)
 	}
-	i := r.findToken(tok)
-	if i < 0 {
-		return nil
-	}
-	rec := r.rec(i)
-	blob := r.sliceOf(secTypes, rec.typeOff, rec.typeLen)
-	tl := decodeTypeList(blob)
-	v, _ := r.typeCache.LoadOrStore(tok, tl)
-	return v.([]invindex.TypeCount)
+	return nil
 }
 
 func decodeTypeList(blob []byte) []invindex.TypeCount {
@@ -560,16 +653,15 @@ func (r *Reader) heapEntry(id uint32, n, i int) []byte {
 	return sec[uint64(base)+lo : uint64(base)+hi]
 }
 
+// searchHeap binary-searches a sorted offset-table section of n
+// entries and returns the first index whose entry is ≥ key, comparing
+// in place like findToken.
+func (r *Reader) searchHeap(id uint32, n int, key string) int {
+	return sort.Search(n, func(i int) bool { return string(r.heapEntry(id, n, i)) >= key })
+}
+
 // subKey returns node key i.
 func (r *Reader) subKey(i int) []byte { return r.heapEntry(secSubKeys, r.subCount, i) }
-
-// findSubKey binary-searches the sorted node-key table; returns the
-// first index whose key is ≥ key.
-func (r *Reader) findSubKey(key string) int {
-	return sort.Search(r.subCount, func(i int) bool {
-		return bytes.Compare(r.subKey(i), []byte(key)) >= 0
-	})
-}
 
 func (r *Reader) subLenAt(i int) int32 {
 	return int32(getU32(r.secs[secSubLens][4*i:]))
@@ -577,8 +669,8 @@ func (r *Reader) subLenAt(i int) int32 {
 
 // SubtreeLenKey is |D(r)| keyed by Dewey.Key.
 func (r *Reader) SubtreeLenKey(key string) int32 {
-	i := r.findSubKey(key)
-	if i < r.subCount && bytes.Equal(r.subKey(i), []byte(key)) {
+	i := r.searchHeap(secSubKeys, r.subCount, key)
+	if i < r.subCount && string(r.subKey(i)) == key {
 		return r.subLenAt(i)
 	}
 	return 0
@@ -650,12 +742,36 @@ func (r *Reader) RootsByPath(p xmltree.PathID) []string {
 
 // BigramCount is the adjacency count of "w1 w2".
 func (r *Reader) BigramCount(w1, w2 string) int64 {
-	key := []byte(w1 + "\x00" + w2)
 	i := sort.Search(r.biCount, func(i int) bool {
-		return bytes.Compare(r.heapEntry(secBigramKeys, r.biCount, i), key) >= 0
+		return cmpBigramKey(r.heapEntry(secBigramKeys, r.biCount, i), w1, w2) >= 0
 	})
-	if i < r.biCount && bytes.Equal(r.heapEntry(secBigramKeys, r.biCount, i), key) {
+	if i < r.biCount && cmpBigramKey(r.heapEntry(secBigramKeys, r.biCount, i), w1, w2) == 0 {
 		return int64(getU64(r.secs[secBigramVals][8*i:]))
+	}
+	return 0
+}
+
+// cmpBigramKey compares a stored "w1\x00w2" key with the pair (w1, w2)
+// without building the probe key.
+func cmpBigramKey(k []byte, w1, w2 string) int {
+	n := len(w1)
+	if len(k) <= n {
+		// k is no longer than w1 alone, so it can at best be a proper
+		// prefix of the probe key.
+		if string(k) > w1[:len(k)] {
+			return 1
+		}
+		return -1
+	}
+	switch {
+	case string(k[:n]) < w1:
+		return -1
+	case string(k[:n]) > w1 || k[n] != 0:
+		return 1
+	case string(k[n+1:]) < w2:
+		return -1
+	case string(k[n+1:]) > w2:
+		return 1
 	}
 	return 0
 }
@@ -688,15 +804,12 @@ func (r *Reader) SubtreeText(root xmltree.Dewey, maxLen int) string {
 	if !r.HasStoredText() {
 		return ""
 	}
-	rk := []byte(root.Key())
-	i := sort.Search(r.storedN, func(i int) bool {
-		return bytes.Compare(r.heapEntry(secStoredKeys, r.storedN, i), rk) >= 0
-	})
+	rk := root.Key()
 	var b strings.Builder
 	runes := 0
-	for ; i < r.storedN; i++ {
+	for i := r.searchHeap(secStoredKeys, r.storedN, rk); i < r.storedN; i++ {
 		k := r.heapEntry(secStoredKeys, r.storedN, i)
-		if len(k) < len(rk) || !bytes.Equal(k[:len(rk)], rk) {
+		if len(k) < len(rk) || string(k[:len(rk)]) != rk {
 			break // left the subtree
 		}
 		text := r.heapEntry(secStoredTexts, r.storedN, i)
@@ -720,7 +833,9 @@ func (r *Reader) SubtreeText(root xmltree.Dewey, maxLen int) string {
 // Materialize decodes the whole snapshot into a heap index — the
 // escape hatch for operations that need mutable structures (live
 // writes, entity sharding, legacy SLCA semantics). It is O(corpus) in
-// time and memory, exactly what the mmap path avoids for reads.
+// time and memory, exactly what the mmap path avoids for reads. It
+// walks the records by index and leaves the token memo alone: one live
+// write on a snapshot-backed engine must not pin the whole vocabulary.
 func (r *Reader) Materialize() (*invindex.Index, error) {
 	t := invindex.Tables{
 		NodeCount: r.nodeCount,
@@ -746,7 +861,7 @@ func (r *Reader) Materialize() (*invindex.Index, error) {
 		// Copy payload bytes out of the mapping so the index outlives
 		// the reader.
 		t.Lists[i] = postings.Encode(l.Decode())
-		t.TypeLists[i] = append([]invindex.TypeCount(nil), r.TypeList(tok)...)
+		t.TypeLists[i] = r.typeList(i)
 	}
 	t.SubtreeKeys = make([]string, r.subCount)
 	t.SubtreeLens = make([]int32, r.subCount)

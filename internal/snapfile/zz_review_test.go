@@ -14,33 +14,7 @@ func TestReviewTruncatedMeta(t *testing.T) {
 	meta = append(meta, 5)                           // nodeCount=5; then truncated
 	paths := []byte{}
 	secs := []section{{secMeta, meta}, {secPaths, paths}}
-	off := uint64(headerLen + secEntryLen*len(secs))
-	table := make([]byte, secEntryLen*len(secs))
-	for i, s := range secs {
-		e := table[i*secEntryLen:]
-		putU32(e[0:], s.id)
-		putU64(e[8:], off)
-		putU64(e[16:], uint64(len(s.data)))
-		off += uint64(len(s.data))
-	}
-	hdr := make([]byte, headerLen)
-	copy(hdr, magic)
-	putU32(hdr[8:], uint32(len(secs)))
-	putU32(hdr[16:], crcOf(table))
-	var buf []byte
-	buf = append(buf, hdr...)
-	buf = append(buf, table...)
-	for _, s := range secs {
-		buf = append(buf, s.data...)
-	}
-	foot := make([]byte, footEntryLen*len(secs)+footTailLen)
-	for i, s := range secs {
-		putU32(foot[i*footEntryLen:], s.id)
-		putU32(foot[i*footEntryLen+4:], crcOf(s.data))
-	}
-	putU64(foot[len(foot)-16:], uint64(len(buf)+len(foot)))
-	copy(foot[len(foot)-8:], endMagic)
-	buf = append(buf, foot...)
+	buf := assemble(secs, 0)
 	p := filepath.Join(t.TempDir(), "trunc.seg")
 	if err := os.WriteFile(p, buf, 0o644); err != nil {
 		t.Fatal(err)

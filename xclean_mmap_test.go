@@ -1,7 +1,9 @@
 package xclean
 
 import (
+	"bytes"
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"xclean/internal/dataset"
 	"xclean/internal/snapfile"
 )
 
@@ -234,30 +237,45 @@ func TestSnapshotOpenRejectsCorruption(t *testing.T) {
 }
 
 // TestSnapshotConcurrentOpenEvictQuery models the catalog's lifecycle
-// under -race: readers query through an atomically-swapped engine
-// while an "evictor" keeps reopening the snapshot and dropping the old
-// engine (eviction is just dropping the reference; the finalizer
-// unmaps once in-flight queries drain).
+// under -race: readers query through atomically-swapped engines while
+// an "evictor" keeps reopening the snapshots and dropping the old
+// engines (eviction is just dropping the reference; the finalizer
+// unmaps once in-flight queries drain). Two corpora are served from two
+// snapshot files and every reader goroutine alternates between them, so
+// the merged lists one scan releases are reused by a scan over the
+// other reader — possibly after the first was unmapped. A pooled cursor
+// that kept a reference into a mapping would fault or answer from the
+// wrong corpus; every answer is checked against its heap reference.
 func TestSnapshotConcurrentOpenEvictQuery(t *testing.T) {
 	opts := Options{StoreText: true}
-	ref, err := Open(strings.NewReader(collectionXML(segDocs)), opts)
-	if err != nil {
-		t.Fatal(err)
+	corpora := [2][]string{segDocs, segDocs[:9]}
+	var paths [2]string
+	var want [2][][]Suggestion
+	for c, docs := range corpora {
+		ref, err := Open(strings.NewReader(collectionXML(docs)), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths[c] = filepath.Join(t.TempDir(), "c.seg")
+		if err := ref.SaveSnapshot(paths[c]); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range segQueries {
+			want[c] = append(want[c], ref.Suggest(q))
+		}
 	}
-	path := filepath.Join(t.TempDir(), "c.seg")
-	if err := ref.SaveSnapshot(path); err != nil {
-		t.Fatal(err)
-	}
-	open := func() *Engine {
-		e, err := OpenSnapshot(path, opts)
+	open := func(c int) *Engine {
+		e, err := OpenSnapshot(paths[c], opts)
 		if err != nil {
 			t.Error(err)
 			return nil
 		}
 		return e
 	}
-	var cur atomic.Pointer[Engine]
-	cur.Store(open())
+	var cur [2]atomic.Pointer[Engine]
+	for c := range cur {
+		cur[c].Store(open(c))
+	}
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -271,30 +289,96 @@ func TestSnapshotConcurrentOpenEvictQuery(t *testing.T) {
 					return
 				default:
 				}
-				e := cur.Load()
+				c := (i + r) % 2
+				e := cur[c].Load()
 				if e == nil {
 					return
 				}
-				q := segQueries[(i+r)%len(segQueries)]
-				for _, s := range e.Suggest(q) {
-					if s.Entities < 1 {
-						t.Errorf("non-empty guarantee violated for %q", q)
-						return
-					}
+				qi := (i/2 + r) % len(segQueries)
+				if got := e.Suggest(segQueries[qi]); !sameSuggestions(got, want[c][qi]) {
+					t.Errorf("corpus %d %q:\n got %v\nwant %v", c, segQueries[qi], got, want[c][qi])
+					return
 				}
 			}
 		}(r)
 	}
 	for cycle := 0; cycle < 8; cycle++ {
-		next := open()
-		if next == nil {
-			break
+		for c := range cur {
+			next := open(c)
+			if next == nil {
+				break
+			}
+			cur[c].Store(next) // the previous engine is now eviction garbage
 		}
-		cur.Store(next) // the previous engine is now eviction garbage
-		runtime.GC()    // provoke the finalizer while queries are in flight
+		runtime.GC() // provoke the finalizers while queries are in flight
 	}
 	close(stop)
 	wg.Wait()
-	q := segQueries[0]
-	assertParity(t, "post-evict", q, cur.Load().Suggest(q), ref.Suggest(q))
+	for c := range cur {
+		assertParity(t, "post-evict", segQueries[0], cur[c].Load().Suggest(segQueries[0]), want[c][0])
+	}
+}
+
+// sameSuggestions is assertParity's comparison as a predicate, for
+// goroutines that may not call t.Fatal.
+func sameSuggestions(got, want []Suggestion) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Query != w.Query || g.ResultType != w.ResultType || g.Entities != w.Entities ||
+			math.Abs(g.Score-w.Score) > 1e-12*math.Max(math.Abs(w.Score), 1e-300) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMappedSuggestAllocsNearHeap guards the point of the zero-copy
+// cursor heads, the token memo and the pooled streaming lists: once
+// warm, answering from a mapped snapshot allocates about what answering
+// from the heap index does (it was 3.2× before them). Workers is 1 and
+// corpus and queries are fixed, so the counts repeat.
+func TestMappedSuggestAllocsNearHeap(t *testing.T) {
+	gen := dataset.GenerateDBLP(dataset.DBLPConfig{Seed: 7, Articles: 1500})
+	var xml bytes.Buffer
+	if _, err := gen.Tree.WriteXML(&xml); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Workers: 1}
+	heap, err := Open(&xml, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped := snapReopen(t, heap, opts)
+	if !mapped.SnapshotBacked() {
+		t.Fatal("engine is not snapshot-backed")
+	}
+	// Every clean query also runs with a letter dropped from each longer
+	// word, which is what widens the variant lists.
+	var queries []string
+	for _, q := range gen.SampleQueries(3, 40) {
+		words := strings.Fields(q)
+		for i, w := range words {
+			if len(w) > 4 {
+				words[i] = w[:2] + w[3:]
+			}
+		}
+		queries = append(queries, q, strings.Join(words, " "))
+	}
+	perPass := func(e *Engine) float64 {
+		pass := func() {
+			for _, q := range queries {
+				e.Suggest(q)
+			}
+		}
+		pass() // lazy FastSS build, memo and pools warm
+		return testing.AllocsPerRun(3, pass)
+	}
+	h, m := perPass(heap), perPass(mapped)
+	t.Logf("allocs per pass of %d queries: heap %.0f, mapped %.0f (%.2fx)", len(queries), h, m, m/h)
+	if m > 1.25*h {
+		t.Errorf("mapped Suggest allocates %.0f per pass, heap %.0f: %.2fx > 1.25x", m, h, m/h)
+	}
 }
