@@ -683,7 +683,7 @@ func BenchmarkSuggestContext(b *testing.B) {
 	defer cancel()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.SuggestContext(ctx, dirty[i%len(dirty)]); err != nil {
+		if _, err := e.Query(ctx, Request{Query: dirty[i%len(dirty)]}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,6 +22,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -167,18 +168,11 @@ func main() {
 
 	ask := func(q string) {
 		t := time.Now()
-		var sugs []xclean.Suggestion
-		var ex *xclean.Explain
-		switch {
-		case *explain && *spaces:
-			sugs, ex = eng.SuggestWithSpacesExplained(q)
-		case *explain:
-			sugs, ex = eng.SuggestExplained(q)
-		case *spaces:
-			sugs = eng.SuggestWithSpaces(q)
-		default:
-			sugs = eng.Suggest(q)
+		res, err := eng.Query(context.Background(), xclean.Request{Query: q, Spaces: *spaces, Explain: *explain})
+		if err != nil {
+			log.Fatal(err)
 		}
+		sugs, ex := res.Suggestions, res.Explain
 		elapsed := time.Since(t)
 		if len(sugs) == 0 {
 			fmt.Printf("no valid suggestions for %q (%v)\n", q, elapsed.Round(time.Microsecond))

@@ -42,7 +42,8 @@ func TestCancelledContextStopsScan(t *testing.T) {
 			e := cancelEngine(workers)
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			sugs, st, err := e.SuggestDetailedContext(ctx, "tree qurey")
+			res, err := e.Query(ctx, Request{Query: "tree qurey"})
+			sugs, st := res.Suggestions, res.Stats
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err=%v, want context.Canceled", err)
 			}
@@ -62,7 +63,7 @@ func TestDeadlineExceededPropagates(t *testing.T) {
 	e := cancelEngine(1)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := e.SuggestContext(ctx, "tree qurey"); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := e.Query(ctx, Request{Query: "tree qurey"}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err=%v, want context.DeadlineExceeded", err)
 	}
 }
@@ -74,12 +75,12 @@ func TestCancelledContextSpaces(t *testing.T) {
 	e := cancelEngine(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sugs, err := e.SuggestWithSpacesContext(ctx, "tree qurey")
+	res, err := e.Query(ctx, Request{Query: "tree qurey", Spaces: true})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v, want context.Canceled", err)
 	}
-	if sugs != nil {
-		t.Errorf("cancelled spaces call returned suggestions: %v", sugs)
+	if res.Suggestions != nil {
+		t.Errorf("cancelled spaces call returned suggestions: %v", res.Suggestions)
 	}
 }
 
@@ -89,7 +90,7 @@ func TestCancelledContextPartials(t *testing.T) {
 		e := cancelEngine(workers)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		set, st, err := e.SuggestPartialsContext(ctx, "tree qurey")
+		set, st, _, err := e.SuggestPartialsContext(ctx, "tree qurey", false)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err=%v, want context.Canceled", workers, err)
 		}
@@ -102,36 +103,42 @@ func TestCancelledContextPartials(t *testing.T) {
 	}
 }
 
-// The context-taking variants with a live Background context must be
-// the exact same computation as the context-free methods.
+// Query under a live context must be the exact same computation as the
+// context-free wrappers, and tracing must not change the answer.
 func TestContextVariantsMatchPlain(t *testing.T) {
 	e := cancelEngine(2)
 	q := "tree qurey"
 	want := e.Suggest(q)
-	got, err := e.SuggestContext(context.Background(), q)
+	got, err := e.Query(context.Background(), Request{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("SuggestContext diverges from Suggest:\n got=%v\nwant=%v", got, want)
+	if !reflect.DeepEqual(got.Suggestions, want) {
+		t.Errorf("Query diverges from Suggest:\n got=%v\nwant=%v", got.Suggestions, want)
 	}
 
 	wantSp := e.SuggestWithSpaces("tree qu ery")
-	gotSp, err := e.SuggestWithSpacesContext(context.Background(), "tree qu ery")
+	gotSp, err := e.Query(context.Background(), Request{Query: "tree qu ery", Spaces: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gotSp, wantSp) {
-		t.Errorf("SuggestWithSpacesContext diverges:\n got=%v\nwant=%v", gotSp, wantSp)
+	if !reflect.DeepEqual(gotSp.Suggestions, wantSp) {
+		t.Errorf("Query{Spaces} diverges:\n got=%v\nwant=%v", gotSp.Suggestions, wantSp)
 	}
 
-	wantPs, _ := e.SuggestPartials(q)
-	gotPs, _, err := e.SuggestPartialsContext(context.Background(), q)
+	wantPs, _, _, err := e.SuggestPartialsContext(context.Background(), q, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotPs, _, spans, err := e.SuggestPartialsContext(context.Background(), q, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotPs, wantPs) {
-		t.Errorf("SuggestPartialsContext diverges from SuggestPartials")
+		t.Errorf("explained partials diverge from plain partials")
+	}
+	if len(spans) == 0 {
+		t.Errorf("explained partials carry no stage spans")
 	}
 }
 
@@ -161,15 +168,15 @@ func TestMidScanCancellationRace(t *testing.T) {
 							time.Sleep(time.Duration(i%5) * 30 * time.Microsecond)
 							cancel()
 						}()
-						sugs, _, err := e.SuggestDetailedContext(ctx, "tree qurey")
+						res, err := e.Query(ctx, Request{Query: "tree qurey"})
 						if err != nil {
 							if !errors.Is(err, context.Canceled) {
 								t.Errorf("unexpected error: %v", err)
 							}
-							if sugs != nil {
+							if res.Suggestions != nil {
 								t.Error("error with non-nil suggestions")
 							}
-						} else if !reflect.DeepEqual(sugs, want) {
+						} else if !reflect.DeepEqual(res.Suggestions, want) {
 							t.Error("uncancelled call diverged from baseline")
 						}
 						cancel()

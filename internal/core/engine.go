@@ -77,7 +77,7 @@ type Config struct {
 	// skipping ablation).
 	LinearSkip bool
 	// MaxSpaceChanges is τ of Section VI-A, the maximum number of
-	// space insertions/deletions explored by SuggestWithSpaces.
+	// space insertions/deletions explored by a Spaces request
 	// (0 = 1).
 	MaxSpaceChanges int
 	// Phonetic enables the Soundex cognitive-error extension of
@@ -111,7 +111,7 @@ type Config struct {
 	Tokenizer tokenizer.Options
 	// Workers bounds the parallelism of one suggestion call: the
 	// anchor-subtree scan of Algorithm 1 is sharded across this many
-	// goroutines by top-level child, and SuggestWithSpaces runs up to
+	// goroutines by top-level child, and a Spaces request runs up to
 	// this many shapes concurrently. 0 = GOMAXPROCS; 1 = the exact
 	// sequential path of Algorithm 1; n > 1 = n workers. Negative
 	// values mean 1. When γ does not bind, results are identical for
@@ -217,8 +217,7 @@ func (s Suggestion) Query() string { return strings.Join(s.Words, " ") }
 
 // Engine answers top-k query cleaning requests against one index.
 // Engines are safe for concurrent use: all index structures are
-// read-only after construction and every Suggest call works on its own
-// state.
+// read-only after construction and every call works on its own state.
 type Engine struct {
 	ix invindex.Source
 	// fss is the deletion-variant dictionary. It is a structure derived
@@ -256,17 +255,13 @@ type Engine struct {
 	// instrumentation (one branch per call site). Set via SetSink;
 	// carried across Refresh.
 	sink *obs.Sink
-
-	// mu guards lastStats, the diagnostics of the most recent call.
-	mu        sync.Mutex
-	lastStats Stats
 }
 
-// Stats reports work counters of the last Suggest call, used by the
-// efficiency experiments. Under parallel execution (Config.Workers)
-// the counters are summed across workers; SuggestWithSpaces sums them
-// across every explored shape. TypeComputations may exceed the
-// sequential count because each worker keeps its own type cache.
+// Stats reports the work counters of one call, used by the efficiency
+// experiments. Under parallel execution (Config.Workers) the counters
+// are summed across workers; the space search sums them across every
+// explored shape. TypeComputations may exceed the sequential count
+// because each worker keeps its own type cache.
 // Subtrees and PostingsRead may be lower than the sequential count:
 // a worker's galloping skip over other shards' children can exhaust a
 // list early, so trailing incomplete anchor groups — which contribute
@@ -410,22 +405,6 @@ func (e *Engine) SetSink(s *obs.Sink) { e.sink = s }
 // Sink returns the attached metrics sink (nil when disabled).
 func (e *Engine) Sink() *obs.Sink { return e.sink }
 
-// setLastStats records the diagnostics of a completed call.
-func (e *Engine) setLastStats(st Stats) {
-	e.mu.Lock()
-	e.lastStats = st
-	e.mu.Unlock()
-}
-
-// Stats returns the work counters of the most recent Suggest call.
-// Under concurrent use, prefer SuggestDetailed, which returns the
-// counters of one specific call.
-func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.lastStats
-}
-
 // Keywords tokenizes a raw query and attaches the variant sets. A
 // keyword with an empty variant set makes every candidate invalid, so
 // callers can detect hopeless queries early.
@@ -495,52 +474,71 @@ func (e *Engine) variants(tok string) []fastss.Match {
 // context skip the polling entirely.
 const CancelCheckEvery = 64
 
+// Request is one suggestion call. The zero value of each option is the
+// plain Algorithm 1 call.
+type Request struct {
+	// Query is the raw, possibly misspelt keyword query.
+	Query string
+	// Spaces selects the space-error search of Section VI-A: up to τ
+	// (Config.MaxSpaceChanges) space insertions or deletions are
+	// explored and every resulting tokenization competes in one ranked
+	// list. Engines without a space model (SLCA/ELCA) ignore it.
+	Spaces bool
+	// Explain selects a per-query trace in Response.Explain. Tracing
+	// forces stage timing on even without an attached sink, so the call
+	// is marginally slower; suggestions are identical.
+	Explain bool
+}
+
+// Response is the answer to one Request.
+type Response struct {
+	// Suggestions are the top-k alternative queries, best first; nil
+	// when no candidate has a non-empty result.
+	Suggestions []Suggestion
+	// Stats are the work counters of this call. On cancellation they
+	// still report the work done before the scan stopped.
+	Stats Stats
+	// Explain is the trace, non-nil only when Request.Explain was set
+	// and the call completed.
+	Explain *Explain
+}
+
+// Query answers one request: Algorithm 1 over the query's keywords, or
+// over every space-edited tokenization when req.Spaces is set. A
+// cancelled or expired ctx stops the anchor-subtree scan cooperatively
+// (within CancelCheckEvery anchors per worker) and the call returns
+// ctx.Err() with no suggestions and no trace. A context that can never
+// be cancelled (such as context.Background()) costs nothing extra.
+func (e *Engine) Query(ctx context.Context, req Request) (Response, error) {
+	var res Response
+	var err error
+	if req.Spaces {
+		res.Suggestions, res.Stats, res.Explain, err = e.suggestSpacesObserved(ctx, req.Query, req.Explain)
+	} else {
+		res.Suggestions, res.Stats, res.Explain, err = e.suggestObserved(ctx, req.Query, req.Explain)
+	}
+	return res, err
+}
+
 // Suggest returns the top-k alternative queries for the raw query,
 // ranked by P(C|Q,T). It implements Algorithm 1 of the paper.
 func (e *Engine) Suggest(query string) []Suggestion {
-	out, _ := e.SuggestDetailed(query)
-	return out
-}
-
-// SuggestContext is Suggest under a context: a cancelled or expired ctx
-// stops the anchor-subtree scan cooperatively (within CancelCheckEvery
-// anchors per worker) and the call returns ctx.Err() with no
-// suggestions. A context that can never be cancelled (such as
-// context.Background()) costs nothing over Suggest.
-func (e *Engine) SuggestContext(ctx context.Context, query string) ([]Suggestion, error) {
-	out, _, _, err := e.suggestObserved(ctx, query, false)
-	return out, err
+	res, _ := e.Query(context.Background(), Request{Query: query})
+	return res.Suggestions
 }
 
 // SuggestDetailed is Suggest plus the work counters of this call.
 func (e *Engine) SuggestDetailed(query string) ([]Suggestion, Stats) {
-	out, st, _, _ := e.suggestObserved(context.Background(), query, false)
-	return out, st
-}
-
-// SuggestDetailedContext is SuggestDetailed under a context (see
-// SuggestContext). On cancellation the returned Stats still report the
-// work done before the scan stopped.
-func (e *Engine) SuggestDetailedContext(ctx context.Context, query string) ([]Suggestion, Stats, error) {
-	out, st, _, err := e.suggestObserved(ctx, query, false)
-	return out, st, err
+	res, _ := e.Query(context.Background(), Request{Query: query})
+	return res.Suggestions, res.Stats
 }
 
 // SuggestExplained is Suggest plus a per-query trace: stage spans with
 // per-worker attribution, per-keyword variant counts, cache and
-// eviction counters, and the scored candidate table. Tracing forces
-// timing on even without an attached sink, so the call is marginally
-// slower than plain Suggest; results are identical.
+// eviction counters, and the scored candidate table.
 func (e *Engine) SuggestExplained(query string) ([]Suggestion, *Explain) {
-	out, _, ex, _ := e.suggestObserved(context.Background(), query, true)
-	return out, ex
-}
-
-// SuggestExplainedContext is SuggestExplained under a context (see
-// SuggestContext). A cancelled call returns no trace.
-func (e *Engine) SuggestExplainedContext(ctx context.Context, query string) ([]Suggestion, *Explain, error) {
-	out, _, ex, err := e.suggestObserved(ctx, query, true)
-	return out, ex, err
+	res, _ := e.Query(context.Background(), Request{Query: query, Explain: true})
+	return res.Suggestions, res.Explain
 }
 
 // suggestObserved is the single user-call entry of the non-space path:
@@ -551,7 +549,6 @@ func (e *Engine) suggestObserved(ctx context.Context, query string, explain bool
 	if e.sink == nil && !explain {
 		// Fast path: no instrumentation beyond the always-on counters.
 		out, st, err := e.suggestKeywordsN(ctx, e.Keywords(query), e.cfg.workers(), nil)
-		e.setLastStats(st)
 		return out, st, nil, err
 	}
 
@@ -567,7 +564,6 @@ func (e *Engine) suggestObserved(ctx context.Context, query string, explain bool
 
 	out, st, err := e.suggestKeywordsN(ctx, kws, e.cfg.workers(), rc)
 	total := time.Since(start)
-	e.setLastStats(st)
 	e.observeCall(total, rc, st)
 	if err != nil {
 		// The partial scan still consumed resources (observed above),
@@ -631,10 +627,9 @@ type runCtx struct {
 // with one galloping SkipTo per foreign child, so every posting is
 // still read at most once, by exactly one worker. Per-worker
 // accumulator tables are merged (and re-pruned to γ) before finalize.
-// The explicit count lets SuggestWithSpaces force sequential inner
+// The explicit count lets the space search force sequential inner
 // scans when it already fans out over shapes (so one call never
-// exceeds Config.Workers goroutines in total). It does not touch
-// lastStats — callers that own a whole user call record the aggregate.
+// exceeds Config.Workers goroutines in total).
 func (e *Engine) suggestKeywordsN(ctx context.Context, kws []Keyword, n int, rc *runCtx) ([]Suggestion, Stats, error) {
 	acc, st, err := e.scanKeywords(ctx, kws, n, rc)
 	if err != nil || acc == nil {
@@ -651,9 +646,9 @@ func (e *Engine) suggestKeywordsN(ctx context.Context, kws []Keyword, n int, rc 
 // anchor-subtree scan across n goroutines and returns the merged,
 // γ-bounded accumulator table, without ranking it. It returns a nil
 // table when the keyword list is empty or some keyword has no
-// variants. SuggestPartials uses it directly to expose raw
-// accumulators to the cluster coordinator; suggestKeywordsN ranks its
-// result.
+// variants. The partials builder uses it directly to expose raw
+// accumulators to a coordinator or segment merge; suggestKeywordsN
+// ranks its result.
 func (e *Engine) scanKeywords(ctx context.Context, kws []Keyword, n int, rc *runCtx) (*accumulators, Stats, error) {
 	var st Stats
 	if len(kws) == 0 {

@@ -125,12 +125,12 @@ func TestKConfig(t *testing.T) {
 
 func TestGammaPruning(t *testing.T) {
 	e := paperEngine(Config{Gamma: 1})
-	sugs := e.Suggest("tree icdt")
+	sugs, st := e.SuggestDetailed("tree icdt")
 	// With a single accumulator at most one candidate survives.
 	if len(sugs) > 1 {
 		t.Errorf("gamma=1 kept %d candidates", len(sugs))
 	}
-	if e.Stats().Evictions == 0 {
+	if st.Evictions == 0 {
 		t.Error("expected evictions with gamma=1")
 	}
 

@@ -6,10 +6,10 @@ import (
 	"xclean/internal/obs"
 )
 
-// Explain is the per-query trace returned by SuggestExplained (and the
-// space-search variant): the wall-clock stage spans of the one call it
-// describes, per-keyword variant counts, the work counters, and the
-// final scored candidate table. It is what /suggest?debug=1 and
+// Explain is the per-query trace returned in Response.Explain (for
+// plain and space-search requests alike): the wall-clock stage spans
+// of the one call it describes, per-keyword variant counts, the work
+// counters, and the final scored candidate table. It is what /suggest?debug=1 and
 // `xclean -explain` render.
 type Explain struct {
 	// Query is the raw query that was traced.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -52,7 +53,9 @@ func TestExplainSpansSumToTotal(t *testing.T) {
 }
 
 func TestExplainContents(t *testing.T) {
-	e := explainEngine(Config{})
+	// One worker: per-shard type caches at high core counts see too few
+	// repeats to hit, and the hit assertion below is about the cache.
+	e := explainEngine(Config{Workers: 1})
 	out, ex := e.SuggestExplained("health insurence")
 	if ex.Query != "health insurence" {
 		t.Errorf("query %q", ex.Query)
@@ -172,7 +175,11 @@ func TestSinkResultsIdentical(t *testing.T) {
 func TestSpaceSearchExplained(t *testing.T) {
 	e := explainEngine(Config{Workers: 2})
 	e.SetSink(obs.NewSink())
-	out, ex := e.SuggestWithSpacesExplained("health insurence")
+	res, err := e.Query(context.Background(), Request{Query: "health insurence", Spaces: true, Explain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, ex := res.Suggestions, res.Explain
 	if len(out) == 0 || ex == nil {
 		t.Fatalf("out=%v ex=%v", out, ex)
 	}

@@ -147,8 +147,7 @@ func TestPaperExampleSuggestions(t *testing.T) {
 
 func TestPaperExampleStats(t *testing.T) {
 	e := paperEngine(Config{})
-	e.Suggest("tree icdt")
-	st := e.Stats()
+	_, st := e.SuggestDetailed("tree icdt")
 	// Example 5 processes the subtrees of 1.2, 1.3, and 1.4; subtree
 	// 1.1 is skipped entirely.
 	if st.Subtrees != 3 {

@@ -26,9 +26,10 @@ import (
 // applied once, coordinator-side, from the union of the shards'
 // variant hits.
 //
-// SuggestPartials is the shard half; MergePartials is the coordinator
-// half. Both work on label-path strings and dot-form Dewey codes so
-// the types survive a JSON wire format without sharing a path table.
+// SuggestPartialsContext is the shard half; MergePartials is the
+// coordinator half. Both work on label-path strings and dot-form Dewey
+// codes so the types survive a JSON wire format without sharing a path
+// table.
 
 // PartialVariant is one variant hit of a query keyword: a vocabulary
 // word within the edit threshold, with its edit distance.
@@ -77,61 +78,42 @@ type PartialSet struct {
 	Candidates []PartialCandidate `json:"candidates,omitempty"`
 }
 
-// SuggestPartials runs the scan half of Algorithm 1 and returns the
-// raw per-candidate partial sums instead of ranked suggestions — the
-// shard side of the cluster's scatter-gather protocol. The second
-// return value reports the work counters of the call.
-func (e *Engine) SuggestPartials(query string) (PartialSet, Stats) {
-	ps, st, _ := e.SuggestPartialsContext(context.Background(), query)
-	return ps, st
-}
-
-// SuggestPartialsContext is SuggestPartials under a context: the shard
-// scan polls ctx and abandons the call with ctx.Err() once the
-// coordinator's forwarded deadline (or the client) cancels it, so a
-// shard never keeps scanning for an answer nobody will merge. The
-// returned Stats then report the work done before the stop.
-func (e *Engine) SuggestPartialsContext(ctx context.Context, query string) (PartialSet, Stats, error) {
-	ps, st, _, err := e.suggestPartials(ctx, query, false)
-	return ps, st, err
-}
-
-// SuggestPartialsExplainedContext is SuggestPartialsContext plus the
-// stage spans of the call — the shard half of distributed tracing: a
-// traced coordinator request forces stage timing on the shard scan so
-// the shard can return its per-stage subtree in the wire envelope.
-// Like the Explained suggestion variants, it is marginally slower
-// than the plain call (a few clock reads per stage).
-func (e *Engine) SuggestPartialsExplainedContext(ctx context.Context, query string) (PartialSet, Stats, []obs.Span, error) {
-	ps, st, rc, err := e.suggestPartials(ctx, query, true)
-	var spans []obs.Span
-	if err == nil && rc != nil {
-		spans = obs.SpansOf(&rc.stages, rc.workers)
+// SuggestPartialsContext runs the scan half of Algorithm 1 and returns
+// the raw per-candidate partial sums instead of ranked suggestions —
+// the shard side of the cluster's scatter-gather protocol — with the
+// work counters of the call. The scan polls ctx and abandons the call
+// with ctx.Err() once the coordinator's forwarded deadline (or the
+// client) cancels it; the Stats then report the work done before the
+// stop. explain additionally returns the stage spans of the call — the
+// shard half of distributed tracing — at the cost of a few clock reads
+// per stage.
+func (e *Engine) SuggestPartialsContext(ctx context.Context, query string, explain bool) (PartialSet, Stats, []obs.Span, error) {
+	if e.sink == nil && !explain {
+		ps, st, err := e.partials(ctx, e.Keywords(query), e.cfg.workers(), nil)
+		return ps, st, nil, err
 	}
-	return ps, st, spans, err
-}
-
-// suggestPartials is the shared body of the partials entry points.
-// explain forces a runCtx even without a sink, so stage durations are
-// collected for the caller.
-func (e *Engine) suggestPartials(ctx context.Context, query string, explain bool) (PartialSet, Stats, *runCtx, error) {
-	var rc *runCtx
 	start := time.Now()
-	if e.sink != nil || explain {
-		rc = &runCtx{}
-	}
-	var kws []Keyword
-	if rc != nil {
-		t0 := time.Now()
-		toks := e.cfg.Tokenizer.Tokenize(query)
-		rc.stages[obs.StageTokenize] += time.Since(t0)
-		t0 = time.Now()
-		kws = e.keywordsFor(toks)
-		rc.stages[obs.StageVariants] += time.Since(t0)
-	} else {
-		kws = e.Keywords(query)
-	}
+	rc := &runCtx{}
+	toks := e.cfg.Tokenizer.Tokenize(query)
+	rc.stages[obs.StageTokenize] += time.Since(start)
+	t0 := time.Now()
+	kws := e.keywordsFor(toks)
+	rc.stages[obs.StageVariants] += time.Since(t0)
 
+	ps, st, err := e.partials(ctx, kws, e.cfg.workers(), rc)
+	e.observeCall(time.Since(start), rc, st)
+	if err != nil || !explain {
+		return ps, st, nil, err
+	}
+	return ps, st, obs.SpansOf(&rc.stages, rc.workers), nil
+}
+
+// partials is the one PartialSet builder, shared by the shard entry
+// above and the per-segment scans of a segmented stack: it runs the
+// scan half of Algorithm 1 over prepared keywords on the given number
+// of scan workers and reports the variant hits, the live normalizer of
+// every eligible result type, and the γ-bounded candidate sums.
+func (e *Engine) partials(ctx context.Context, kws []Keyword, workers int, rc *runCtx) (PartialSet, Stats, error) {
 	ps := PartialSet{Keywords: make([][]PartialVariant, len(kws))}
 	for i, kw := range kws {
 		vs := make([]PartialVariant, len(kw.Variants))
@@ -141,19 +123,17 @@ func (e *Engine) suggestPartials(ctx context.Context, query string, explain bool
 		ps.Keywords[i] = vs
 	}
 
-	acc, st, err := e.scanKeywords(ctx, kws, e.cfg.workers(), rc)
-	e.setLastStats(st)
-	if rc != nil {
-		e.observeCall(time.Since(start), rc, st)
-	}
+	acc, st, err := e.scanKeywords(ctx, kws, workers, rc)
 	if err != nil {
-		return PartialSet{}, st, rc, err
+		return PartialSet{}, st, err
 	}
 	// Report the local normalizer of every eligible result type even
 	// when no candidate matched locally: the coordinator's global N for
 	// a type must include the entity counts of shards where the
 	// candidate found no match, or a half-empty shard would inflate
-	// every other shard's scores.
+	// every other shard's scores. Paths that exist only in other
+	// segments of a stack contribute no entities here, so iterating the
+	// index's own table is complete.
 	norms := make(map[string]float64)
 	d := e.cfg.minDepth()
 	for p := xmltree.PathID(0); int(p) < e.ix.PathTable().Len(); p++ {
@@ -167,13 +147,13 @@ func (e *Engine) suggestPartials(ctx context.Context, query string, explain bool
 	ps.TypeNorms = norms
 
 	if acc == nil {
-		return ps, st, rc, nil
+		return ps, st, nil
 	}
 	// The candidates below hold the accumulators' words; only the
 	// table's storage is recycled.
 	defer acc.release()
 	if acc.len() == 0 {
-		return ps, st, rc, nil
+		return ps, st, nil
 	}
 
 	all := acc.all()
@@ -200,14 +180,14 @@ func (e *Engine) suggestPartials(ctx context.Context, query string, explain bool
 		}
 		ps.Candidates = append(ps.Candidates, PartialCandidate{
 			Words:      a.words,
-			ResultType: e.ix.PathTable().String(a.resultType),
+			ResultType: e.pathsView().String(a.resultType),
 			Sum:        sum,
 			Entities:   a.entities,
 			Witness:    witness,
 			Coherence:  coherence,
 		})
 	}
-	return ps, st, rc, nil
+	return ps, st, nil
 }
 
 // MergeConfig tunes MergePartials. It must mirror the shards' engine

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -11,12 +12,22 @@ import (
 )
 
 // Differential parity: a corpus split into entity-range shards and
-// answered through SuggestPartials + MergePartials must reproduce the
+// answered through SuggestPartialsContext + MergePartials must reproduce the
 // standalone engine's ranking exactly — same candidates, types, entity
 // counts, distances, and witnesses, with scores within 1e-12 relative
 // (partial sums associate differently across shard boundaries). γ must
 // be non-binding: a shard-local accumulator bound can evict a
 // candidate a global scan would keep.
+
+// partialsOf is one untraced shard scan under a live context.
+func partialsOf(t *testing.T, e *Engine, q string) PartialSet {
+	t.Helper()
+	ps, _, _, err := e.SuggestPartialsContext(context.Background(), q, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
+}
 
 // sameMerged compares a merged cluster ranking against a standalone
 // ranking. The standalone side carries table IDs and Dewey values; the
@@ -79,7 +90,7 @@ func TestMergePartialsMatchesStandalone(t *testing.T) {
 				want := full.Suggest(q)
 				sets := make([]PartialSet, n)
 				for i, sh := range shards {
-					sets[i], _ = sh.SuggestPartials(q)
+					sets[i] = partialsOf(t, sh, q)
 				}
 				got, err := MergePartials(mc, sets)
 				if err != nil {
@@ -102,7 +113,7 @@ func TestMergePartialsSingleShardBitwise(t *testing.T) {
 
 	for _, q := range append(c.SampleQueries(20, 8), "databse") {
 		want := full.Suggest(q)
-		ps, _ := solo.SuggestPartials(q)
+		ps := partialsOf(t, solo, q)
 		got, err := MergePartials(MergeConfig{}, []PartialSet{ps})
 		if err != nil {
 			t.Fatalf("query %q: %v", q, err)
@@ -129,8 +140,8 @@ func TestMergePartialsDroppedShard(t *testing.T) {
 	shards := shardEngines(t, ix, 2, cfg)
 
 	q := c.SampleQueries(24, 1)[0]
-	ps0, _ := shards[0].SuggestPartials(q)
-	ps1, _ := shards[1].SuggestPartials(q)
+	ps0 := partialsOf(t, shards[0], q)
+	ps1 := partialsOf(t, shards[1], q)
 
 	both, err := MergePartials(MergeConfig{}, []PartialSet{ps0, ps1})
 	if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 
 	"xclean/internal/fastss"
 	"xclean/internal/lm"
@@ -52,8 +51,9 @@ type ScanOverrides struct {
 // store owns the user call and observes it once. The receiver is not
 // modified and may keep serving queries concurrently.
 func (e *Engine) ScanVariant(o ScanOverrides) *Engine {
-	// Field-by-field construction: Engine embeds a mutex (lastStats), so
-	// a struct copy would trip go vet and copy lock state.
+	// Field-by-field construction: Engine embeds a sync.Once (the lazy
+	// FastSS build), so a struct copy would trip go vet and copy its
+	// state.
 	return &Engine{
 		ix:        e.ix,
 		fss:       e.fastss(),
@@ -100,77 +100,9 @@ func (e *Engine) VariantMatches(tok string) []fastss.Match { return e.variants(t
 // SuggestPartialsForKeywords runs the scan half of Algorithm 1 over a
 // prepared keyword list and returns the raw per-candidate partial sums
 // — the per-segment half of the segmented query path. Unlike
-// SuggestPartials it performs no tokenization, no variant lookup, and
-// no sink observation: the caller built the keywords once against the
-// whole stack and owns the user-call observability. workers ≤ 0 means
-// the engine's configured parallelism.
-func (e *Engine) SuggestPartialsForKeywords(ctx context.Context, kws []Keyword, workers int) (PartialSet, Stats, error) {
-	if workers <= 0 {
-		workers = e.cfg.workers()
-	}
-	ps := PartialSet{Keywords: make([][]PartialVariant, len(kws))}
-	for i, kw := range kws {
-		vs := make([]PartialVariant, len(kw.Variants))
-		for j, v := range kw.Variants {
-			vs[j] = PartialVariant{Word: v.Word, Dist: v.Dist}
-		}
-		ps.Keywords[i] = vs
-	}
-
-	acc, st, err := e.scanKeywords(ctx, kws, workers, nil)
-	if err != nil {
-		return PartialSet{}, st, err
-	}
-
-	// Live normalizers of every eligible result type in this segment.
-	// Paths that exist only in other segments contribute no entities
-	// here, so iterating the segment's own table is complete.
-	norms := make(map[string]float64)
-	d := e.cfg.minDepth()
-	for p := xmltree.PathID(0); int(p) < e.ix.PathTable().Len(); p++ {
-		if e.ix.PathTable().Depth(p) < d {
-			continue
-		}
-		if n := e.liveNorm(p); n > 0 {
-			norms[e.ix.PathTable().String(p)] = n
-		}
-	}
-	ps.TypeNorms = norms
-
-	if acc == nil {
-		return ps, st, nil
-	}
-	// The candidates below hold the accumulators' words; only the
-	// table's storage is recycled.
-	defer acc.release()
-	if acc.len() == 0 {
-		return ps, st, nil
-	}
-
-	all := acc.all()
-	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
-	ps.Candidates = make([]PartialCandidate, 0, len(all))
-	for _, a := range all {
-		sum := a.sum
-		if e.cfg.ScoreMode == ScoreModeExact {
-			sum += e.backgroundMass(a.words, a.resultType) - a.bgMatched
-		}
-		coherence := 1.0
-		if e.bigram != nil {
-			coherence = e.bigram.SequenceProb(a.words)
-		}
-		witness := ""
-		if a.witness != "" {
-			witness = xmltree.DeweyFromKey(a.witness).String()
-		}
-		ps.Candidates = append(ps.Candidates, PartialCandidate{
-			Words:      a.words,
-			ResultType: e.pathsView().String(a.resultType),
-			Sum:        sum,
-			Entities:   a.entities,
-			Witness:    witness,
-			Coherence:  coherence,
-		})
-	}
-	return ps, st, nil
+// SuggestPartialsContext it performs no tokenization, no variant
+// lookup, and no sink observation: the caller built the keywords once
+// against the whole stack and owns the user-call observability.
+func (e *Engine) SuggestPartialsForKeywords(ctx context.Context, kws []Keyword) (PartialSet, Stats, error) {
+	return e.partials(ctx, kws, e.cfg.workers(), nil)
 }

@@ -19,67 +19,27 @@ type shape struct {
 }
 
 // SuggestWithSpaces extends Suggest with the space-error model of
-// Section VI-A: up to τ (Config.MaxSpaceChanges) insertions or
-// deletions of spaces are explored, each validated against the
-// vocabulary, and every resulting candidate query competes in one
-// ranked list. Each space change is penalized like a single edit
-// error, exp(-β), on the final score.
+// Section VI-A (Request.Spaces): up to τ (Config.MaxSpaceChanges)
+// insertions or deletions of spaces are explored, each validated
+// against the vocabulary, and every resulting candidate query competes
+// in one ranked list. Each space change is penalized like a single
+// edit error, exp(-β), on the final score.
 func (e *Engine) SuggestWithSpaces(query string) []Suggestion {
-	out, _ := e.SuggestWithSpacesDetailed(query)
-	return out
-}
-
-// SuggestWithSpacesContext is SuggestWithSpaces under a context: every
-// shape's scan polls the same context, so a cancelled or expired ctx
-// stops the whole shape fan-out cooperatively and the call returns
-// ctx.Err() with no suggestions (see Engine.SuggestContext).
-func (e *Engine) SuggestWithSpacesContext(ctx context.Context, query string) ([]Suggestion, error) {
-	out, _, _, err := e.suggestSpacesObserved(ctx, query, false)
-	return out, err
-}
-
-// SuggestWithSpacesDetailed is SuggestWithSpaces plus the work
-// counters of this call, summed over every explored shape (the same
-// aggregate Engine.Stats reports after the call).
-//
-// Shapes are independent Algorithm 1 runs over the same index, so they
-// are embarrassingly parallel: up to Config.Workers shapes run
-// concurrently (each with a sequential scan, keeping the call's total
-// parallelism at Config.Workers), and their results are merged in
-// deterministic shape order.
-func (e *Engine) SuggestWithSpacesDetailed(query string) ([]Suggestion, Stats) {
-	out, st, _, _ := e.suggestSpacesObserved(context.Background(), query, false)
-	return out, st
-}
-
-// SuggestWithSpacesDetailedContext is SuggestWithSpacesDetailed under
-// a context. On cancellation the returned Stats still report the work
-// of the shapes that ran before the scan stopped.
-func (e *Engine) SuggestWithSpacesDetailedContext(ctx context.Context, query string) ([]Suggestion, Stats, error) {
-	out, st, _, err := e.suggestSpacesObserved(ctx, query, false)
-	return out, st, err
-}
-
-// SuggestWithSpacesExplained is SuggestWithSpaces plus the per-query
-// trace (see SuggestExplained). Shape-level spans are concatenated in
-// deterministic shape order; the keyword table reports the base
-// (unchanged) tokenization.
-func (e *Engine) SuggestWithSpacesExplained(query string) ([]Suggestion, *Explain) {
-	out, _, ex, _ := e.suggestSpacesObserved(context.Background(), query, true)
-	return out, ex
-}
-
-// SuggestWithSpacesExplainedContext is SuggestWithSpacesExplained
-// under a context. A cancelled call returns no trace.
-func (e *Engine) SuggestWithSpacesExplainedContext(ctx context.Context, query string) ([]Suggestion, *Explain, error) {
-	out, _, ex, err := e.suggestSpacesObserved(ctx, query, true)
-	return out, ex, err
+	res, _ := e.Query(context.Background(), Request{Query: query, Spaces: true})
+	return res.Suggestions
 }
 
 // suggestSpacesObserved is the single user-call entry of the space
-// path. Shapes are independent Algorithm 1 runs, so each carries its
-// own runCtx (no shared timing state across goroutines); the contexts
-// are merged in shape order once every shape has finished.
+// path. Shapes are independent Algorithm 1 runs over the same index,
+// so they are embarrassingly parallel: up to Config.Workers shapes run
+// concurrently (each with a sequential scan, keeping the call's total
+// parallelism at Config.Workers), and their results are merged in
+// deterministic shape order. Stats are summed over every explored
+// shape. Each shape carries its own runCtx (no shared timing state
+// across goroutines); the contexts are merged in shape order once
+// every shape has finished, and a trace's keyword table reports the
+// base (unchanged) tokenization. Every shape's scan polls the same
+// context, so cancellation stops the whole fan-out.
 func (e *Engine) suggestSpacesObserved(ctx context.Context, query string, explain bool) ([]Suggestion, Stats, *Explain, error) {
 	timed := e.sink != nil || explain
 	var start time.Time
@@ -166,7 +126,6 @@ func (e *Engine) suggestSpacesObserved(ctx context.Context, query string, explai
 			}
 		}
 	}
-	e.setLastStats(total)
 	if scanErr != nil {
 		// A cancelled shape poisons the whole call: a merged list missing
 		// one shape's candidates would silently mis-rank. The aggregate

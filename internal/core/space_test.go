@@ -93,9 +93,9 @@ func TestExpandShapesTauBound(t *testing.T) {
 	}
 }
 
-// SuggestWithSpaces must report the work of every explored shape, not
+// A Spaces request must report the work of every explored shape, not
 // just the last one (the Stats-clobbering regression: each shape's run
-// used to overwrite lastStats).
+// used to overwrite the call's counters).
 func TestSuggestWithSpacesAggregatesStats(t *testing.T) {
 	// Corpus where both the joined and the split forms are indexed, so
 	// at least two shapes do real scanning work.
@@ -133,8 +133,8 @@ func TestSuggestWithSpacesAggregatesStats(t *testing.T) {
 		t.Fatalf("fixture too weak: only %d productive shapes", productive)
 	}
 
-	e.SuggestWithSpaces(query)
-	if got := e.Stats(); !reflect.DeepEqual(got, want) {
+	res, _ := e.Query(context.Background(), Request{Query: query, Spaces: true})
+	if got := res.Stats; !reflect.DeepEqual(got, want) {
 		t.Errorf("stats not aggregated across shapes:\n got=%+v\nwant=%+v", got, want)
 	}
 }

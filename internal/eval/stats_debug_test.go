@@ -11,8 +11,7 @@ func TestDebugStats(t *testing.T) {
 		e := w.XClean(set, nil)
 		var tot Stats2
 		for _, q := range w.Sets[set] {
-			e.Suggest(q.Dirty)
-			s := e.Stats()
+			_, s := e.SuggestDetailed(q.Dirty)
 			tot.post += s.PostingsRead
 			tot.sub += s.Subtrees
 			tot.cand += s.CandidatesSeen

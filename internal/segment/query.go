@@ -58,12 +58,13 @@ func (st *Store) beta() float64 {
 	return st.cfg.Beta
 }
 
-// Suggest answers one user query against a pinned view of the stack:
-// the segmented analogue of the engine's Suggest family, with optional
-// space-error expansion and explain trace. Stats are summed across
-// segments (and shapes); the sink observes the call once at this
-// level — the per-segment scan engines carry no sink.
-func (st *Store) Suggest(ctx context.Context, query string, spaces, explain bool) ([]core.MergedSuggestion, core.Stats, *core.Explain, error) {
+// Suggest answers one request against a pinned view of the stack: the
+// segmented analogue of core.Engine.Query, with optional space-error
+// expansion and explain trace. Stats are summed across segments (and
+// shapes); the sink observes the call once at this level — the
+// per-segment scan engines carry no sink.
+func (st *Store) Suggest(ctx context.Context, req core.Request) ([]core.MergedSuggestion, core.Stats, *core.Explain, error) {
+	query := req.Query
 	start := time.Now()
 	v := st.view.Load()
 	var (
@@ -72,7 +73,7 @@ func (st *Store) Suggest(ctx context.Context, query string, spaces, explain bool
 		kws   []core.Keyword
 		err   error
 	)
-	if spaces {
+	if req.Spaces {
 		out, stats, kws, err = st.suggestSpaces(ctx, v, query)
 	} else {
 		kws = st.keywords(v, st.cfg.Tokenizer.Tokenize(query))
@@ -92,7 +93,7 @@ func (st *Store) Suggest(ctx context.Context, query string, spaces, explain bool
 		return nil, stats, nil, err
 	}
 	var ex *core.Explain
-	if explain {
+	if req.Explain {
 		ex = &core.Explain{Query: query, TookNs: took.Nanoseconds(), Stats: stats}
 		ex.Keywords = make([]core.ExplainKeyword, len(kws))
 		for i, kw := range kws {
@@ -166,7 +167,7 @@ func (st *Store) suggestKeywords(ctx context.Context, v *View, kws []core.Keywor
 			DeadOrds: sg.deadOrds,
 			DeadNorm: sg.deadNorm,
 		})
-		ps, sstat, err := se.SuggestPartialsForKeywords(ctx, kws, 0)
+		ps, sstat, err := se.SuggestPartialsForKeywords(ctx, kws)
 		if err != nil {
 			return nil, stats, err
 		}

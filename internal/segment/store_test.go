@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"xclean/internal/core"
 	"xclean/internal/invindex"
@@ -46,6 +47,20 @@ func newTestStore(t *testing.T, n int, cfg Config) *Store {
 	return st
 }
 
+// holdCompactor takes the compactor's in-flight guard for the rest of
+// the test, so neither the write-triggered burst nor the interval
+// ticker can run; CompactOnce and Flatten still work. Tests that
+// assert an exact stack shape between writes take it before their
+// first write, because a burst started by their own writes would
+// otherwise reshape the stack first.
+func (st *Store) holdCompactor(t *testing.T) {
+	t.Helper()
+	if !st.inFlight.CompareAndSwap(false, true) {
+		t.Fatal("compactor already running")
+	}
+	t.Cleanup(func() { st.inFlight.Store(false) })
+}
+
 func (st *Store) addN(t *testing.T, from, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -74,6 +89,7 @@ func TestSealAtTailLimit(t *testing.T) {
 
 func TestFastEngineTransitions(t *testing.T) {
 	st := newTestStore(t, 2, Config{TailLimit: 10})
+	st.holdCompactor(t)
 	if st.FastEngine() == nil {
 		t.Fatal("flat base stack should expose a fast engine")
 	}
@@ -145,6 +161,7 @@ func TestPurgeDropsEmptySegment(t *testing.T) {
 
 func TestPurgeRewritesTombstonedSegment(t *testing.T) {
 	st := newTestStore(t, 8, Config{TailLimit: 100})
+	st.holdCompactor(t)
 	// Two of eight documents tombstoned reaches the 1/4 purge threshold.
 	for _, ord := range []uint32{2, 5} {
 		if err := st.RemoveDocument(xmltree.Dewey{1, ord}); err != nil {
@@ -175,6 +192,7 @@ func TestPurgeRewritesTombstonedSegment(t *testing.T) {
 
 func TestMergeShrinksDeepStack(t *testing.T) {
 	st := newTestStore(t, 1, Config{TailLimit: 1})
+	st.holdCompactor(t)
 	st.addN(t, 2, 6) // every add seals: 7 single-doc segments
 	if s := st.SegmentStats(); s.Segments != 7 {
 		t.Fatalf("setup: %+v", s)
@@ -229,6 +247,7 @@ func TestStatsMatchMonolithicRebuild(t *testing.T) {
 func TestSinkGaugesAndCounters(t *testing.T) {
 	sink := obs.NewSink()
 	st := newTestStore(t, 2, Config{TailLimit: 2, Sink: sink})
+	st.holdCompactor(t)
 	st.addN(t, 3, 3) // one seal (docs 3,4), doc 5 in tail
 	if err := st.RemoveDocument(xmltree.Dewey{1, 1}); err != nil {
 		t.Fatal(err)
@@ -249,5 +268,34 @@ func TestSinkGaugesAndCounters(t *testing.T) {
 	}
 	if snap.CompactionRuns != 1 || snap.CompactionBytes == 0 {
 		t.Fatalf("compaction counters: %+v", snap)
+	}
+}
+
+// The background path: a write that crosses the purge threshold starts
+// a compaction burst on its own, which purges the tombstones without
+// any explicit CompactOnce.
+func TestWriteTriggersCompaction(t *testing.T) {
+	st := newTestStore(t, 8, Config{TailLimit: 100})
+	for _, ord := range []uint32{2, 5} {
+		if err := st.RemoveDocument(xmltree.Dewey{1, ord}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s := st.SegmentStats()
+		if s.Compactions > 0 && s.Tombstones == 0 && !st.inFlight.Load() {
+			if s.Segments != 1 {
+				t.Fatalf("after background purge: %+v", s)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no background compaction within 5s: %+v", s)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := st.SubtreeText(xmltree.Dewey{1, 2}, 100); got != "" {
+		t.Fatalf("purged document still stored: %q", got)
 	}
 }

@@ -26,31 +26,19 @@ func newBlockEngine() *blockEngine {
 	return &blockEngine{entered: make(chan struct{}, 64), release: make(chan struct{})}
 }
 
-func (e *blockEngine) SuggestContext(ctx context.Context, q string) ([]xclean.Suggestion, error) {
+func (e *blockEngine) Query(ctx context.Context, req xclean.Request) (xclean.Response, error) {
 	e.entered <- struct{}{}
+	done := []xclean.Suggestion{{Query: req.Query}}
 	if e.ignoreCtx {
 		<-e.release
-		return []xclean.Suggestion{{Query: q}}, nil
+		return xclean.Response{Suggestions: done}, nil
 	}
 	select {
 	case <-e.release:
-		return []xclean.Suggestion{{Query: q}}, nil
+		return xclean.Response{Suggestions: done}, nil
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return xclean.Response{}, ctx.Err()
 	}
-}
-
-func (e *blockEngine) SuggestWithSpacesContext(ctx context.Context, q string) ([]xclean.Suggestion, error) {
-	return e.SuggestContext(ctx, q)
-}
-
-func (e *blockEngine) SuggestExplainedContext(ctx context.Context, q string) ([]xclean.Suggestion, *xclean.Explain, error) {
-	s, err := e.SuggestContext(ctx, q)
-	return s, nil, err
-}
-
-func (e *blockEngine) SuggestWithSpacesExplainedContext(ctx context.Context, q string) ([]xclean.Suggestion, *xclean.Explain, error) {
-	return e.SuggestExplainedContext(ctx, q)
 }
 
 func (e *blockEngine) Stats() xclean.IndexStats { return xclean.IndexStats{} }

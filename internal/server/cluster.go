@@ -23,16 +23,10 @@ import (
 // so existing Engine implementations (and test fakes) keep compiling.
 // The context is the coordinator's forwarded deadline: the shard scan
 // polls it and abandons work the coordinator will no longer merge.
+// explain asks for the scan's per-stage durations too, so a sampled
+// fan-out can return shard stage spans in the wire envelope.
 type partialSuggester interface {
-	SuggestPartialsContext(ctx context.Context, query string) (xclean.PartialSet, error)
-}
-
-// partialExplainedSuggester is the traced variant: the same partial
-// scan plus its per-stage durations, so a sampled fan-out can return
-// shard stage spans in the wire envelope. Engines without it still
-// serve traced requests — their subtree just has no stage children.
-type partialExplainedSuggester interface {
-	SuggestPartialsExplainedContext(ctx context.Context, query string) (xclean.PartialSet, []obs.Span, error)
+	SuggestPartialsContext(ctx context.Context, query string, explain bool) (xclean.PartialSet, []obs.Span, error)
 }
 
 // handleShardSuggest serves GET /shard/suggest: the shard half of the
@@ -74,7 +68,6 @@ func (s *Server) handleShardSuggest(w http.ResponseWriter, r *http.Request) {
 	// envelope can carry this shard's span subtree; the coordinator
 	// made the sampling decision, so no local sampler runs here.
 	_, parentSpan, sampled, hasTrace := obs.ParseTraceparent(r.Header.Get("Traceparent"))
-	pse, canExplain := eng.(partialExplainedSuggester)
 	traced := sampled && hasTrace
 	// The scan honors the coordinator's forwarded deadline (the HTTP
 	// request context dies when the coordinator's budget expires or it
@@ -97,13 +90,7 @@ func (s *Server) handleShardSuggest(w http.ResponseWriter, r *http.Request) {
 		// its own span and slow log, not just the coordinator's view.
 		time.Sleep(s.cfg.InjectDelay)
 	}
-	var set xclean.PartialSet
-	var stageSpans []obs.Span
-	if traced && canExplain {
-		set, stageSpans, err = pse.SuggestPartialsExplainedContext(ctx, q)
-	} else {
-		set, err = ps.SuggestPartialsContext(ctx, q)
-	}
+	set, stageSpans, err := ps.SuggestPartialsContext(ctx, q, traced)
 	release()
 	if err != nil {
 		if isCtxErr(err) {
@@ -366,7 +353,7 @@ func (s *Server) handleShardSuggestBatch(w http.ResponseWriter, r *http.Request)
 	results := make([]cluster.BatchEntry, len(br.Queries))
 	for i, q := range br.Queries {
 		results[i].Query = q
-		set, err := ps.SuggestPartialsContext(ctx, q)
+		set, _, err := ps.SuggestPartialsContext(ctx, q, false)
 		if err != nil {
 			results[i].Error = err.Error()
 			if isCtxErr(err) {

@@ -72,19 +72,15 @@ import (
 )
 
 // Engine is the part of xclean.Engine the server needs; the indirection
-// lets tests plug in fakes. Every suggestion method takes the request
-// context: the engine's scan polls it cooperatively, so an expired
-// per-request deadline or a disconnected client stops the scan instead
-// of holding a worker until it finishes. A cancelled call returns the
-// context's error.
+// lets tests plug in fakes. Query takes the request context: the
+// engine's scan polls it cooperatively, so an expired per-request
+// deadline or a disconnected client stops the scan instead of holding
+// a worker until it finishes. A cancelled call returns the context's
+// error. An explained request returns the same suggestions plus the
+// per-query trace served under /suggest?debug=1 and recorded by the
+// slow-query log.
 type Engine interface {
-	SuggestContext(ctx context.Context, query string) ([]xclean.Suggestion, error)
-	SuggestWithSpacesContext(ctx context.Context, query string) ([]xclean.Suggestion, error)
-	// SuggestExplainedContext and SuggestWithSpacesExplainedContext
-	// return the same suggestions plus the per-query trace served under
-	// /suggest?debug=1 and recorded by the slow-query log.
-	SuggestExplainedContext(ctx context.Context, query string) ([]xclean.Suggestion, *xclean.Explain, error)
-	SuggestWithSpacesExplainedContext(ctx context.Context, query string) ([]xclean.Suggestion, *xclean.Explain, error)
+	Query(ctx context.Context, req xclean.Request) (xclean.Response, error)
 	Stats() xclean.IndexStats
 	// Preview renders the witness entity of a suggestion (empty unless
 	// the engine stores text).
@@ -496,17 +492,8 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		// as does a sampled trace (its stage spans come from the same
 		// explain run).
 		trace := debug || s.cfg.SlowLog != nil || tc != nil
-		var err error
-		switch {
-		case trace && spaces:
-			sugs, ex, err = eng.SuggestWithSpacesExplainedContext(ctx, q)
-		case trace:
-			sugs, ex, err = eng.SuggestExplainedContext(ctx, q)
-		case spaces:
-			sugs, err = eng.SuggestWithSpacesContext(ctx, q)
-		default:
-			sugs, err = eng.SuggestContext(ctx, q)
-		}
+		res, err := eng.Query(ctx, xclean.Request{Query: q, Spaces: spaces, Explain: trace})
+		sugs, ex = res.Suggestions, res.Explain
 		release()
 		if err != nil {
 			if isCtxErr(err) {

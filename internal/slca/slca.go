@@ -132,38 +132,20 @@ type candAgg struct {
 // Suggest returns the top-k alternative queries under the SLCA
 // semantics.
 func (e *Engine) Suggest(query string) []core.Suggestion {
-	out, _, _ := e.suggestObserved(context.Background(), query, false)
-	return out
+	res, _ := e.Query(context.Background(), core.Request{Query: query})
+	return res.Suggestions
 }
 
-// SuggestContext is Suggest under a context: the anchor scan polls ctx
-// once per cancellation interval and a cancelled or expired ctx makes
-// the call return ctx.Err() with no suggestions. A context that can
-// never be cancelled costs nothing over Suggest.
-func (e *Engine) SuggestContext(ctx context.Context, query string) ([]core.Suggestion, error) {
-	out, _, err := e.suggestObserved(ctx, query, false)
-	return out, err
-}
-
-// SuggestExplained is Suggest plus the per-query trace. The SLCA scan
-// is single-threaded, so the trace carries one worker entry; result
-// types are empty (SLCA entities have no single node type), and the
-// type-cache counters stay zero (this path infers no types).
-func (e *Engine) SuggestExplained(query string) ([]core.Suggestion, *core.Explain) {
-	out, ex, _ := e.suggestObserved(context.Background(), query, true)
-	return out, ex
-}
-
-// SuggestExplainedContext is SuggestExplained under a context (see
-// SuggestContext). A cancelled call returns no trace.
-func (e *Engine) SuggestExplainedContext(ctx context.Context, query string) ([]core.Suggestion, *core.Explain, error) {
-	return e.suggestObserved(ctx, query, true)
-}
-
-// suggestObserved runs the SLCA scan, timing each pipeline stage when
-// a sink is attached or a trace was requested (timed == false costs
-// nothing beyond the branch checks).
-func (e *Engine) suggestObserved(ctx context.Context, query string, explain bool) ([]core.Suggestion, *core.Explain, error) {
+// Query answers one request by the SLCA (or ELCA) scan. The space
+// model is a result-type extension, so req.Spaces is ignored. The
+// anchor scan polls ctx once per cancellation interval and a cancelled
+// or expired ctx makes the call return ctx.Err() with no suggestions
+// and no trace. A trace (req.Explain) carries one worker entry — the
+// scan is single-threaded — empty result types (SLCA entities have no
+// single node type), and zero type-cache counters (this path infers no
+// types).
+func (e *Engine) Query(ctx context.Context, req core.Request) (core.Response, error) {
+	query, explain := req.Query, req.Explain
 	timed := e.sink != nil || explain
 	var start, t0 time.Time
 	var stages, worker obs.StageDurations
@@ -172,12 +154,12 @@ func (e *Engine) suggestObserved(ctx context.Context, query string, explain bool
 		start = time.Now()
 		t0 = start
 	}
-	finish := func(out []core.Suggestion, kws []core.Keyword, err error) ([]core.Suggestion, *core.Explain, error) {
+	finish := func(out []core.Suggestion, kws []core.Keyword, err error) (core.Response, error) {
 		if err != nil {
 			out = nil
 		}
 		if !timed {
-			return out, nil, err
+			return core.Response{Suggestions: out, Stats: st}, err
 		}
 		stages[obs.StageScan] += worker[obs.StageScan]
 		stages[obs.StageEnumerate] += worker[obs.StageEnumerate]
@@ -189,7 +171,7 @@ func (e *Engine) suggestObserved(ctx context.Context, query string, explain bool
 			s.CandidatesSeen.Add(int64(st.CandidatesSeen))
 		}
 		if !explain || err != nil {
-			return out, nil, err
+			return core.Response{Suggestions: out, Stats: st}, err
 		}
 		st.WorkerSubtrees = []int{st.Subtrees}
 		ex := &core.Explain{
@@ -211,7 +193,7 @@ func (e *Engine) suggestObserved(ctx context.Context, query string, explain bool
 				Entities:     s.Entities,
 			}
 		}
-		return out, ex, nil
+		return core.Response{Suggestions: out, Stats: st, Explain: ex}, nil
 	}
 
 	toks := e.cfg.Tokenizer.Tokenize(query)

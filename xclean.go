@@ -98,7 +98,8 @@ type Options struct {
 	TopK int
 	// Semantics selects the entity decomposition.
 	Semantics Semantics
-	// MaxSpaceChanges is τ for SuggestWithSpaces (0 = 1).
+	// MaxSpaceChanges is τ of the space-error search, Request.Spaces
+	// (0 = 1).
 	MaxSpaceChanges int
 	// MinTokenLength is the shortest indexed token (0 = 3, the paper's
 	// setting; shorter tokens and stop words are not indexed).
@@ -150,7 +151,7 @@ type Options struct {
 	CompactInterval time.Duration
 	// Workers bounds the parallelism of one suggestion call: the
 	// anchor-subtree scan of Algorithm 1 is sharded across this many
-	// goroutines (and SuggestWithSpaces runs up to this many shapes
+	// goroutines (and the space-error search runs up to this many shapes
 	// concurrently). 0 uses GOMAXPROCS; 1 forces the exact sequential
 	// execution. Results are identical either way, up to floating-point
 	// summation order.
@@ -231,10 +232,10 @@ type IndexStats struct {
 // AddDocument or RemoveDocument switches it to the segmented form — a
 // stack of immutable sealed segments plus a mutable tail
 // (internal/segment) — after which a single writer may keep mutating
-// the corpus while any number of readers call the Suggest family
-// concurrently. Whenever the stack is flat (one segment, no pending
-// tombstones — including after a flush), queries transparently take
-// the monolithic fast path.
+// the corpus while any number of readers call Query concurrently.
+// Whenever the stack is flat (one segment, no pending tombstones —
+// including after a flush), queries transparently take the monolithic
+// fast path.
 type Engine struct {
 	opts Options
 	// src is the read surface queries scan against: the heap index
@@ -451,31 +452,19 @@ type PartialSet = core.PartialSet
 // side of the cluster scatter-gather protocol. It requires the
 // result-type semantics (the default).
 func (e *Engine) SuggestPartials(query string) (PartialSet, error) {
-	return e.SuggestPartialsContext(context.Background(), query)
+	ps, _, err := e.SuggestPartialsContext(context.Background(), query, false)
+	return ps, err
 }
 
 // SuggestPartialsContext is SuggestPartials under a context: the scan
 // polls ctx cooperatively and a cancelled or expired context makes the
 // call return ctx.Err(), so a shard stops scanning as soon as the
-// coordinator's forwarded deadline dies.
-func (e *Engine) SuggestPartialsContext(ctx context.Context, query string) (PartialSet, error) {
-	if e.core == nil {
-		return PartialSet{}, fmt.Errorf("xclean: shard partials require the result-type semantics")
-	}
-	ce, st := e.route()
-	if st != nil {
-		return PartialSet{}, fmt.Errorf("xclean: shard partials unavailable while the segment stack has pending writes; flush first")
-	}
-	ps, _, err := ce.SuggestPartialsContext(ctx, query)
-	return ps, err
-}
-
-// SuggestPartialsExplainedContext is SuggestPartialsContext plus the
-// stage spans of the scan (obs.Span per stage, per worker) — the shard
-// half of distributed tracing. A traced coordinator request asks its
-// shards for this variant so every shard's per-stage timing rides back
-// in the response envelope and stitches into the cluster-wide trace.
-func (e *Engine) SuggestPartialsExplainedContext(ctx context.Context, query string) (PartialSet, []obs.Span, error) {
+// coordinator's forwarded deadline dies. explain additionally returns
+// the stage spans of the scan (obs.Span per stage, per worker) — the
+// shard half of distributed tracing: a traced coordinator request asks
+// for them so every shard's per-stage timing rides back in the
+// response envelope and stitches into the cluster-wide trace.
+func (e *Engine) SuggestPartialsContext(ctx context.Context, query string, explain bool) (PartialSet, []obs.Span, error) {
 	if e.core == nil {
 		return PartialSet{}, nil, fmt.Errorf("xclean: shard partials require the result-type semantics")
 	}
@@ -483,7 +472,7 @@ func (e *Engine) SuggestPartialsExplainedContext(ctx context.Context, query stri
 	if st != nil {
 		return PartialSet{}, nil, fmt.Errorf("xclean: shard partials unavailable while the segment stack has pending writes; flush first")
 	}
-	ps, _, spans, err := ce.SuggestPartialsExplainedContext(ctx, query)
+	ps, _, spans, err := ce.SuggestPartialsContext(ctx, query, explain)
 	return ps, spans, err
 }
 
@@ -537,71 +526,58 @@ func FromIndex(ix *invindex.Index, opts Options) *Engine {
 	return e
 }
 
+// Request is one suggestion call: the raw query, plus Spaces to
+// explore space insertions and deletions (e.g. "power point" →
+// "powerpoint", Section VI-A; ignored under SLCA/ELCA semantics) and
+// Explain to return the per-query trace (stage spans, variant counts,
+// work counters, scored candidates) at the cost of stage timing.
+type Request = core.Request
+
+// Response is the answer to one Request.
+type Response struct {
+	// Suggestions are the top-k alternative queries, best first. Nil
+	// means no candidate query has any connected, non-empty result.
+	Suggestions []Suggestion
+	// Explain is the trace of the call, non-nil only when
+	// Request.Explain was set and the call completed.
+	Explain *Explain
+}
+
+// Query answers one request. It is the engine's single query path: an
+// SLCA/ELCA engine, the monolithic engine (or the single segment of a
+// flat stack), or the segmented store, whichever currently serves the
+// corpus. The anchor-subtree scan polls ctx cooperatively (every few
+// dozen subtrees per worker), so a cancelled or expired context stops
+// an in-progress call promptly and returns ctx.Err() with no
+// suggestions and no trace. A context that can never be cancelled
+// (context.Background()) costs nothing extra.
+func (e *Engine) Query(ctx context.Context, req Request) (Response, error) {
+	if e.slca != nil {
+		res, err := e.slca.Query(ctx, req)
+		return Response{Suggestions: e.convert(res.Suggestions), Explain: res.Explain}, err
+	}
+	ce, st := e.route()
+	if st != nil {
+		out, _, ex, err := st.Suggest(ctx, req)
+		return Response{Suggestions: e.convertMerged(out), Explain: ex}, err
+	}
+	res, err := ce.Query(ctx, req)
+	return Response{Suggestions: e.convert(res.Suggestions), Explain: res.Explain}, err
+}
+
 // Suggest returns the top-k alternative queries for query, best first.
 // A nil result means no candidate query has any connected, non-empty
 // result.
 func (e *Engine) Suggest(query string) []Suggestion {
-	if e.slca != nil {
-		return e.convert(e.slca.Suggest(query))
-	}
-	ce, st := e.route()
-	if st != nil {
-		out, _, _, _ := st.Suggest(context.Background(), query, false, false)
-		return e.convertMerged(out)
-	}
-	return e.convert(ce.Suggest(query))
-}
-
-// SuggestContext is Suggest under a context: the anchor-subtree scan
-// polls ctx cooperatively (every few dozen subtrees per worker), so a
-// cancelled or expired context stops an in-progress call promptly and
-// returns ctx.Err() with no suggestions. Passing a context that can
-// never be cancelled (context.Background()) costs nothing over
-// Suggest.
-func (e *Engine) SuggestContext(ctx context.Context, query string) ([]Suggestion, error) {
-	if e.slca != nil {
-		out, err := e.slca.SuggestContext(ctx, query)
-		return e.convert(out), err
-	}
-	ce, st := e.route()
-	if st != nil {
-		out, _, _, err := st.Suggest(ctx, query, false, false)
-		return e.convertMerged(out), err
-	}
-	out, err := ce.SuggestContext(ctx, query)
-	return e.convert(out), err
+	res, _ := e.Query(context.Background(), Request{Query: query})
+	return res.Suggestions
 }
 
 // SuggestWithSpaces additionally explores insertions and deletions of
-// spaces (e.g. "power point" → "powerpoint"), per Section VI-A. Only
-// available under the result-type semantics.
+// spaces (Request.Spaces). Under SLCA/ELCA semantics it is Suggest.
 func (e *Engine) SuggestWithSpaces(query string) []Suggestion {
-	if e.slca != nil {
-		return e.convert(e.slca.Suggest(query))
-	}
-	ce, st := e.route()
-	if st != nil {
-		out, _, _, _ := st.Suggest(context.Background(), query, true, false)
-		return e.convertMerged(out)
-	}
-	return e.convert(ce.SuggestWithSpaces(query))
-}
-
-// SuggestWithSpacesContext is SuggestWithSpaces under a context (see
-// SuggestContext). Under SLCA/ELCA semantics it falls back to the
-// plain suggestion path, exactly as SuggestWithSpaces does.
-func (e *Engine) SuggestWithSpacesContext(ctx context.Context, query string) ([]Suggestion, error) {
-	if e.slca != nil {
-		out, err := e.slca.SuggestContext(ctx, query)
-		return e.convert(out), err
-	}
-	ce, st := e.route()
-	if st != nil {
-		out, _, _, err := st.Suggest(ctx, query, true, false)
-		return e.convertMerged(out), err
-	}
-	out, err := ce.SuggestWithSpacesContext(ctx, query)
-	return e.convert(out), err
+	res, _ := e.Query(context.Background(), Request{Query: query, Spaces: true})
+	return res.Suggestions
 }
 
 // Observer is the metrics sink of an Engine: attach one with
@@ -627,7 +603,7 @@ func (e *Engine) SetObserver(s *Observer) {
 	}
 }
 
-// Explain is the per-query trace returned by the *Explained variants:
+// Explain is the per-query trace returned in Response.Explain:
 // wall-clock stage spans (with per-worker attribution under parallel
 // scans), per-keyword variant counts, work counters, and the scored
 // candidate table.
@@ -638,72 +614,6 @@ type ExplainKeyword = core.ExplainKeyword
 
 // ExplainCandidate is one row of a trace's scored candidate table.
 type ExplainCandidate = core.ExplainCandidate
-
-// SuggestExplained is Suggest plus the full trace of the call. Results
-// are identical to Suggest; the call is marginally slower because
-// tracing forces stage timing on.
-func (e *Engine) SuggestExplained(query string) ([]Suggestion, *Explain) {
-	if e.slca != nil {
-		out, ex := e.slca.SuggestExplained(query)
-		return e.convert(out), ex
-	}
-	ce, st := e.route()
-	if st != nil {
-		out, _, ex, _ := st.Suggest(context.Background(), query, false, true)
-		return e.convertMerged(out), ex
-	}
-	out, ex := ce.SuggestExplained(query)
-	return e.convert(out), ex
-}
-
-// SuggestExplainedContext is SuggestExplained under a context (see
-// SuggestContext). A cancelled call returns no trace.
-func (e *Engine) SuggestExplainedContext(ctx context.Context, query string) ([]Suggestion, *Explain, error) {
-	if e.slca != nil {
-		out, ex, err := e.slca.SuggestExplainedContext(ctx, query)
-		return e.convert(out), ex, err
-	}
-	ce, st := e.route()
-	if st != nil {
-		out, _, ex, err := st.Suggest(ctx, query, false, true)
-		return e.convertMerged(out), ex, err
-	}
-	out, ex, err := ce.SuggestExplainedContext(ctx, query)
-	return e.convert(out), ex, err
-}
-
-// SuggestWithSpacesExplained is SuggestWithSpaces plus the trace.
-// Under SLCA/ELCA semantics it falls back to SuggestExplained, exactly
-// as SuggestWithSpaces falls back to Suggest.
-func (e *Engine) SuggestWithSpacesExplained(query string) ([]Suggestion, *Explain) {
-	if e.slca != nil {
-		out, ex := e.slca.SuggestExplained(query)
-		return e.convert(out), ex
-	}
-	ce, st := e.route()
-	if st != nil {
-		out, _, ex, _ := st.Suggest(context.Background(), query, true, true)
-		return e.convertMerged(out), ex
-	}
-	out, ex := ce.SuggestWithSpacesExplained(query)
-	return e.convert(out), ex
-}
-
-// SuggestWithSpacesExplainedContext is SuggestWithSpacesExplained
-// under a context (see SuggestContext).
-func (e *Engine) SuggestWithSpacesExplainedContext(ctx context.Context, query string) ([]Suggestion, *Explain, error) {
-	if e.slca != nil {
-		out, ex, err := e.slca.SuggestExplainedContext(ctx, query)
-		return e.convert(out), ex, err
-	}
-	ce, st := e.route()
-	if st != nil {
-		out, _, ex, err := st.Suggest(ctx, query, true, true)
-		return e.convertMerged(out), ex, err
-	}
-	out, ex, err := ce.SuggestWithSpacesExplainedContext(ctx, query)
-	return e.convert(out), ex, err
-}
 
 // AddDocument parses one XML document from r and adds it to the
 // corpus as a new direct child of the indexed root. Under the
@@ -716,10 +626,10 @@ func (e *Engine) SuggestWithSpacesExplainedContext(ctx context.Context, query st
 //
 // Concurrency: AddDocument and RemoveDocument form a single-writer
 // pair — they must not race with each other — but both are safe to
-// call concurrently with the Suggest family, which keeps serving a
-// consistent snapshot throughout. Engines with CompactPostings accept
-// writes too (the compacted base segment stays immutable; new
-// documents live in raw-postings segments until compaction).
+// call concurrently with Query, which keeps serving a consistent
+// snapshot throughout. Engines with CompactPostings accept writes too
+// (the compacted base segment stays immutable; new documents live in
+// raw-postings segments until compaction).
 //
 // SLCA/ELCA engines keep the legacy in-place mutation path, which is
 // not safe to call concurrently with Suggest and rejects compacted
