@@ -1,30 +1,21 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"strings"
-	"sync"
-	"time"
 
 	"xclean/internal/core"
 	"xclean/internal/obs"
 )
 
-// Batched scatter-gather: POST /shard/suggest carries many queries in
-// one round-trip per shard, so a coordinator serving bulk traffic
-// (prefetchers, offline rescoring, as-you-type bursts) pays the
-// connection, header, and envelope cost once per shard instead of once
-// per query. The batch rides the same leg lifecycle as single-query
-// fan-out — replica routing, hedged retry to a different replica,
-// attempt classification — with the whole batch as the unit of
-// hedging. Batched legs are untraced (a trace waterfall of N queries
-// × M shards has no single request to attach to); per-shard statuses
-// are still itemized.
+// The shard wire envelope: POST /shard/suggest carries one or many
+// queries in one round-trip per shard. A single query (Suggest) is a
+// batch of one; a coordinator serving bulk traffic (prefetchers,
+// offline rescoring, as-you-type bursts) pays the connection, header,
+// and envelope cost once per shard instead of once per query. Every
+// body rides the same leg lifecycle — replica routing, hedged retry to
+// a different replica, attempt classification — with the whole body
+// as the unit of hedging.
 
 // MaxBatchQueries bounds one batched request (shard servers reject
 // larger batches; the coordinator-side HTTP handler enforces it too).
@@ -52,10 +43,16 @@ type BatchEntry struct {
 // BatchResponse is the body a shard returns from POST /shard/suggest:
 // one entry per request query, in request order.
 type BatchResponse struct {
-	Version    int          `json:"version"`
-	Corpus     string       `json:"corpus,omitempty"`
-	TookMillis float64      `json:"tookMillis"`
-	Results    []BatchEntry `json:"results"`
+	Version    int     `json:"version"`
+	Corpus     string  `json:"corpus,omitempty"`
+	TookMillis float64 `json:"tookMillis"`
+	// TraceSpan is the shard's span subtree (its server span parenting
+	// every entry's engine stage spans) when the request carried a
+	// sampled traceparent; the coordinator stitches it under the
+	// attempt span whose ID it parents to. Absent on untraced requests
+	// — the wire cost of tracing is zero when off.
+	TraceSpan *obs.SpanNode `json:"traceSpan,omitempty"`
+	Results   []BatchEntry  `json:"results"`
 }
 
 // BatchQueryAnswer is one query's merged outcome within a coordinated
@@ -83,11 +80,12 @@ type BatchAnswer struct {
 
 // SuggestBatch coordinates many queries in one batched round-trip per
 // shard: each shard leg POSTs the full query list to its routed
-// replica (hedging to a different replica exactly like single-query
-// fan-out), then every query is merged independently across the
+// replica (hedging to a different replica exactly like a single
+// query), then every query is merged independently across the
 // surviving shards. A failed shard leg degrades every query to
 // partial; a per-query error on a healthy shard degrades only that
-// query. The only error is a merge-level inconsistency.
+// query. Batched legs are untraced. The only error is a merge-level
+// inconsistency.
 func (c *Coordinator) SuggestBatch(ctx context.Context, queries []string, corpus, requestID string) (*BatchAnswer, error) {
 	if len(queries) == 0 {
 		return &BatchAnswer{}, nil
@@ -96,136 +94,6 @@ func (c *Coordinator) SuggestBatch(ctx context.Context, queries []string, corpus
 		return nil, fmt.Errorf("cluster: batch of %d queries exceeds the %d limit",
 			len(queries), MaxBatchQueries)
 	}
-	if corpus == "" {
-		corpus = c.cfg.Corpus
-	}
-	budget := c.timeout()
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem < budget {
-			budget = rem
-		}
-	}
-	cctx, cancel := context.WithTimeout(ctx, budget)
-	defer cancel()
-
-	// The affinity key spans the whole batch: a repeated batch (same
-	// queries, same corpus) lands on the same replicas.
-	key := routingKey(corpus, strings.Join(queries, "\x00"))
-	type slot struct {
-		resp *BatchResponse
-		st   ShardStatus
-	}
-	slots := make([]slot, len(c.shards))
-	var wg sync.WaitGroup
-	for i := range c.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			payload, st, _ := c.callLeg(cctx, c.shards[i], key, nil,
-				func(ctx context.Context, rep *replicaState, _ string) (any, int, *obs.SpanNode, error) {
-					resp, err := c.fetchBatch(ctx, rep, queries, corpus, requestID)
-					if err != nil {
-						return nil, 0, nil, err
-					}
-					cands := 0
-					for _, e := range resp.Results {
-						cands += len(e.Candidates)
-					}
-					return resp, cands, nil, nil
-				})
-			sl := slot{st: st}
-			if payload != nil {
-				sl.resp = payload.(*BatchResponse)
-			}
-			slots[i] = sl
-		}(i)
-	}
-	wg.Wait()
-
-	ans := &BatchAnswer{
-		Queries: make([]BatchQueryAnswer, len(queries)),
-		Shards:  make([]ShardStatus, len(slots)),
-	}
-	for i, sl := range slots {
-		ans.Shards[i] = sl.st
-		if sl.resp != nil && ans.Corpus == "" {
-			ans.Corpus = sl.resp.Corpus
-		}
-	}
-	if ans.Corpus != "" {
-		c.mu.Lock()
-		c.corpus = ans.Corpus
-		c.mu.Unlock()
-	}
-	for qi, q := range queries {
-		sets := make([]core.PartialSet, 0, len(slots))
-		partial := false
-		for _, sl := range slots {
-			if sl.resp == nil {
-				partial = true
-				continue
-			}
-			e := sl.resp.Results[qi]
-			if e.Error != "" {
-				partial = true
-				continue
-			}
-			sets = append(sets, e.PartialSet)
-		}
-		sugs, err := core.MergePartials(core.MergeConfig{Beta: c.cfg.Beta, K: c.cfg.K}, sets)
-		if err != nil {
-			return nil, fmt.Errorf("query %q: %w", q, err)
-		}
-		ans.Queries[qi] = BatchQueryAnswer{Query: q, Suggestions: sugs, Partial: partial}
-		if partial {
-			ans.Partial = true
-		}
-	}
-	return ans, nil
-}
-
-// fetchBatch performs one POST /shard/suggest attempt against one
-// replica.
-func (c *Coordinator) fetchBatch(ctx context.Context, rep *replicaState, queries []string, corpus, requestID string) (*BatchResponse, error) {
-	body, err := json.Marshal(BatchRequest{
-		Version:   WireVersion,
-		Corpus:    corpus,
-		RequestID: requestID,
-		Queries:   queries,
-	})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		rep.URL+"/shard/suggest", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if requestID != "" {
-		req.Header.Set("X-Request-Id", requestID)
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return nil, fmt.Errorf("replica %s: HTTP %d: %s", rep.Name, resp.StatusCode,
-			strings.TrimSpace(string(b)))
-	}
-	var br BatchResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&br); err != nil {
-		return nil, fmt.Errorf("replica %s: bad batch response: %w", rep.Name, err)
-	}
-	if br.Version != WireVersion {
-		return nil, fmt.Errorf("replica %s: wire version %d (coordinator speaks %d)",
-			rep.Name, br.Version, WireVersion)
-	}
-	if len(br.Results) != len(queries) {
-		return nil, fmt.Errorf("replica %s: %d results for %d queries",
-			rep.Name, len(br.Results), len(queries))
-	}
-	return &br, nil
+	ans, _, err := c.fanOut(ctx, queries, corpus, requestID, nil)
+	return ans, err
 }

@@ -6,8 +6,8 @@
 // `xclean -save-index -shard i/n` (invindex.Index.ShardEntities): it
 // holds the posting lists and entity tables of a contiguous range of
 // top-level entity roots plus every collection-global statistic, and
-// answers GET /shard/suggest with its γ-bounded partial accumulator
-// table (core.PartialSet) in a versioned JSON envelope. The
+// answers POST /shard/suggest with its γ-bounded partial accumulator
+// table (core.PartialSet) per query in a versioned JSON envelope. The
 // coordinator adds per-candidate partial sums and per-type entity
 // counts across shards (Eq. 8 of the paper is additive over disjoint
 // entities), recomputes error-model weights once from the union of the
@@ -26,12 +26,14 @@
 // answer marked Partial with per-shard statuses, rather than an error
 // or a hang.
 //
-// Batched requests (SuggestBatch, POST /shard/suggest) ship many
-// queries per shard round-trip so high-fan-out coordinators amortize
-// connection and envelope cost — see batch.go.
+// There is one shard transport: a single query (Suggest) is a batch of
+// one, and SuggestBatch ships many queries per shard round-trip so
+// high-fan-out coordinators amortize connection and envelope cost —
+// see batch.go for the envelope.
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -39,7 +41,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync"
 	"time"
@@ -48,29 +49,11 @@ import (
 	"xclean/internal/obs"
 )
 
-// WireVersion is the version of the /shard/suggest JSON envelope. The
-// coordinator rejects responses from shards speaking a different
-// version instead of silently mis-merging.
-const WireVersion = 1
-
-// ShardResponse is the versioned wire envelope a shard returns from
-// GET /shard/suggest. The partial set is embedded, so the JSON object
-// carries keywords/typeNorms/candidates at the top level next to the
-// envelope fields.
-type ShardResponse struct {
-	Version    int     `json:"version"`
-	Corpus     string  `json:"corpus,omitempty"`
-	Query      string  `json:"query"`
-	RequestID  string  `json:"requestId,omitempty"`
-	TookMillis float64 `json:"tookMillis"`
-	// TraceSpan is the shard's span subtree (its server span parenting
-	// the engine stage spans) when the request carried a sampled
-	// traceparent; the coordinator stitches it under the attempt span
-	// whose ID it parents to. Absent on untraced requests — the wire
-	// cost of tracing is zero when off.
-	TraceSpan *obs.SpanNode `json:"traceSpan,omitempty"`
-	core.PartialSet
-}
+// WireVersion is the version of the /shard/suggest JSON envelope
+// (BatchRequest/BatchResponse). Both ends reject a body speaking a
+// different version instead of silently mis-merging or dropping
+// fields.
+const WireVersion = 2
 
 // Config configures a Coordinator.
 type Config struct {
@@ -288,9 +271,48 @@ func millis(d time.Duration) float64 {
 // only error is a merge-level inconsistency (shards answering with
 // different keyword arity).
 func (c *Coordinator) Suggest(ctx context.Context, query, corpus, requestID string, tc *obs.TraceContext) (*Result, error) {
+	ans, spans, err := c.fanOut(ctx, []string{query}, corpus, requestID, tc)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Suggestions: ans.Queries[0].Suggestions,
+		Partial:     ans.Partial,
+		Shards:      ans.Shards,
+		Corpus:      ans.Corpus,
+		Spans:       spans,
+	}, nil
+}
+
+// shardCall is one fan-out's request, shared by every leg and attempt:
+// the body is marshalled once.
+type shardCall struct {
+	queries   []string
+	body      []byte // the marshalled BatchRequest
+	requestID string
+}
+
+// fanOut runs one leg per shard carrying every query (bounded by
+// min(Config.Timeout, ctx deadline)), then merges each query
+// independently across the shards that answered it: Eq. 8 adds up over
+// disjoint entity partitions per query, whatever the batch around it.
+// A failed leg degrades every query to partial; a per-query error on a
+// healthy shard degrades only that query. tc is as for Suggest; the
+// returned spans are nil when it is nil.
+func (c *Coordinator) fanOut(ctx context.Context, queries []string, corpus, requestID string, tc *obs.TraceContext) (*BatchAnswer, []*obs.SpanNode, error) {
 	if corpus == "" {
 		corpus = c.cfg.Corpus
 	}
+	body, err := json.Marshal(BatchRequest{
+		Version:   WireVersion,
+		Corpus:    corpus,
+		RequestID: requestID,
+		Queries:   queries,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	call := &shardCall{queries: queries, body: body, requestID: requestID}
 	budget := c.timeout()
 	if dl, ok := ctx.Deadline(); ok {
 		if rem := time.Until(dl); rem < budget {
@@ -300,60 +322,59 @@ func (c *Coordinator) Suggest(ctx context.Context, query, corpus, requestID stri
 	cctx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
 
-	key := routingKey(corpus, query)
+	// The affinity key spans the whole batch: a repeated batch (same
+	// queries, same corpus) lands on the same replicas, and a batch of
+	// one keys exactly as its query alone.
+	key := routingKey(corpus, strings.Join(queries, "\x00"))
 	type slot struct {
-		resp  *ShardResponse
-		st    ShardStatus
+		resp  *BatchResponse
 		spans []*obs.SpanNode
 	}
 	slots := make([]slot, len(c.shards))
+	ans := &BatchAnswer{
+		Queries: make([]BatchQueryAnswer, len(queries)),
+		Shards:  make([]ShardStatus, len(c.shards)),
+	}
 	var wg sync.WaitGroup
 	for i := range c.shards {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			fetch := func(ctx context.Context, rep *replicaState, traceparent string) (any, int, *obs.SpanNode, error) {
-				resp, err := c.fetch(ctx, rep, query, corpus, requestID, traceparent)
-				if err != nil {
-					return nil, 0, nil, err
-				}
-				return resp, len(resp.Candidates), resp.TraceSpan, nil
-			}
-			payload, st, spans := c.callLeg(cctx, c.shards[i], key, tc, fetch)
-			sl := slot{st: st, spans: spans}
-			if payload != nil {
-				sl.resp = payload.(*ShardResponse)
-			}
-			slots[i] = sl
+			slots[i].resp, ans.Shards[i], slots[i].spans = c.callLeg(cctx, c.shards[i], key, tc, call)
 		}(i)
 	}
 	wg.Wait()
 
-	res := &Result{Shards: make([]ShardStatus, len(slots))}
-	sets := make([]core.PartialSet, 0, len(slots))
-	for i, sl := range slots {
-		res.Shards[i] = sl.st
-		res.Spans = append(res.Spans, sl.spans...)
-		if sl.resp == nil {
-			res.Partial = true
-			continue
+	var spans []*obs.SpanNode
+	for _, sl := range slots {
+		spans = append(spans, sl.spans...)
+		if sl.resp != nil && ans.Corpus == "" {
+			ans.Corpus = sl.resp.Corpus
 		}
-		if res.Corpus == "" {
-			res.Corpus = sl.resp.Corpus
-		}
-		sets = append(sets, sl.resp.PartialSet)
 	}
-	if res.Corpus != "" {
+	if ans.Corpus != "" {
 		c.mu.Lock()
-		c.corpus = res.Corpus
+		c.corpus = ans.Corpus
 		c.mu.Unlock()
 	}
-	sugs, err := core.MergePartials(core.MergeConfig{Beta: c.cfg.Beta, K: c.cfg.K}, sets)
-	if err != nil {
-		return nil, err
+	for qi, q := range queries {
+		sets := make([]core.PartialSet, 0, len(slots))
+		partial := false
+		for _, sl := range slots {
+			if sl.resp == nil || sl.resp.Results[qi].Error != "" {
+				partial = true
+				continue
+			}
+			sets = append(sets, sl.resp.Results[qi].PartialSet)
+		}
+		sugs, err := core.MergePartials(core.MergeConfig{Beta: c.cfg.Beta, K: c.cfg.K}, sets)
+		if err != nil {
+			return nil, nil, fmt.Errorf("query %q: %w", q, err)
+		}
+		ans.Queries[qi] = BatchQueryAnswer{Query: q, Suggestions: sugs, Partial: partial}
+		ans.Partial = ans.Partial || partial
 	}
-	res.Suggestions = sugs
-	return res, nil
+	return ans, spans, nil
 }
 
 // liveAttempt is callLeg's bookkeeping for one launched attempt. Only
@@ -368,12 +389,6 @@ type liveAttempt struct {
 	err     string
 	took    time.Duration
 }
-
-// legFetch performs one attempt of a leg against one replica,
-// returning an opaque payload (type-asserted by the caller), the
-// candidate count for the shard status, and the replica's stitched
-// span subtree (nil on untraced or span-less responses).
-type legFetch func(ctx context.Context, rep *replicaState, traceparent string) (payload any, candidates int, span *obs.SpanNode, err error)
 
 // ctxState classifies a context death: the caller hanging up is
 // "canceled" (the work was no longer wanted — not a shard fault), the
@@ -400,18 +415,16 @@ func ctxState(err error) string {
 // attempt also carried its own traceparent and comes back as one
 // "shard.attempt" client span, the winner parenting the replica's
 // returned subtree.
-func (c *Coordinator) callLeg(ctx context.Context, sh *shardSet, key string, tc *obs.TraceContext, fetch legFetch) (any, ShardStatus, []*obs.SpanNode) {
+func (c *Coordinator) callLeg(ctx context.Context, sh *shardSet, key string, tc *obs.TraceContext, call *shardCall) (*BatchResponse, ShardStatus, []*obs.SpanNode) {
 	start := time.Now()
 	ord := sh.order(key, start)
 	first := sh.pickFirst(ord, c.loadFactor())
 
 	type outcome struct {
-		ord     int
-		payload any
-		cands   int
-		span    *obs.SpanNode
-		err     error
-		took    time.Duration
+		ord  int
+		resp *BatchResponse
+		err  error
+		took time.Duration
 	}
 	ch := make(chan outcome, 2)
 	var attempts []liveAttempt
@@ -427,10 +440,9 @@ func (c *Coordinator) callLeg(ctx context.Context, sh *shardSet, key string, tc 
 		rep.m.requests.Add(1)
 		rep.inflight.Add(1)
 		go func() {
-			payload, cands, span, err := fetch(ctx, rep, header)
+			resp, err := c.fetch(ctx, rep, call, header)
 			rep.inflight.Add(-1)
-			ch <- outcome{ord: ordinal, payload: payload, cands: cands, span: span,
-				err: err, took: time.Since(a.started)}
+			ch <- outcome{ord: ordinal, resp: resp, err: err, took: time.Since(a.started)}
 		}()
 	}
 	launch(sh.replicas[first])
@@ -556,13 +568,17 @@ func (c *Coordinator) callLeg(ctx context.Context, sh *shardSet, key string, tc 
 				att.rep.m.latency.Record(a.took)
 				att.rep.m.sink.ObserveSuggest(a.took, nil)
 				took := time.Since(start)
-				sts, spans := finish(a.ord, "", a.span)
-				return a.payload, ShardStatus{
+				sts, spans := finish(a.ord, "", a.resp.TraceSpan)
+				cands := 0
+				for _, e := range a.resp.Results {
+					cands += len(e.Candidates)
+				}
+				return a.resp, ShardStatus{
 					Shard:      sh.name,
 					Replica:    att.rep.Name,
 					State:      "ok",
 					TookMillis: millis(took),
-					Candidates: a.cands,
+					Candidates: cands,
 					Hedged:     hedged,
 					Attempts:   sts,
 				}, spans
@@ -616,20 +632,22 @@ func (c *Coordinator) callLeg(ctx context.Context, sh *shardSet, key string, tc 
 	}
 }
 
-// fetch performs one GET /shard/suggest attempt against one replica.
+// fetch performs one POST /shard/suggest attempt against one replica.
 // traceparent, when non-empty, is the attempt's W3C trace context
-// header.
-func (c *Coordinator) fetch(ctx context.Context, rep *replicaState, query, corpus, requestID, traceparent string) (*ShardResponse, error) {
-	u := rep.URL + "/shard/suggest?q=" + url.QueryEscape(query)
-	if corpus != "" {
-		u += "&corpus=" + url.QueryEscape(corpus)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+// header. The response must answer the request's queries entry for
+// entry, in order; one in which every entry failed (a shard that
+// cannot serve partials, a deadline dead before the first scan
+// finished) fails the attempt with the first entry's error, so the
+// leg hedges to another replica.
+func (c *Coordinator) fetch(ctx context.Context, rep *replicaState, call *shardCall, traceparent string) (*BatchResponse, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		rep.URL+"/shard/suggest", bytes.NewReader(call.body))
 	if err != nil {
 		return nil, err
 	}
-	if requestID != "" {
-		req.Header.Set("X-Request-Id", requestID)
+	req.Header.Set("Content-Type", "application/json")
+	if call.requestID != "" {
+		req.Header.Set("X-Request-Id", call.requestID)
 	}
 	if traceparent != "" {
 		req.Header.Set("Traceparent", traceparent)
@@ -640,19 +658,36 @@ func (c *Coordinator) fetch(ctx context.Context, rep *replicaState, query, corpu
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
+		b, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return nil, fmt.Errorf("replica %s: HTTP %d: %s", rep.Name, resp.StatusCode,
-			strings.TrimSpace(string(body)))
+			strings.TrimSpace(string(b)))
 	}
-	var sr ShardResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&sr); err != nil {
+	var br BatchResponse
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&br); err != nil {
 		return nil, fmt.Errorf("replica %s: bad response: %w", rep.Name, err)
 	}
-	if sr.Version != WireVersion {
+	if br.Version != WireVersion {
 		return nil, fmt.Errorf("replica %s: wire version %d (coordinator speaks %d)",
-			rep.Name, sr.Version, WireVersion)
+			rep.Name, br.Version, WireVersion)
 	}
-	return &sr, nil
+	if len(br.Results) != len(call.queries) {
+		return nil, fmt.Errorf("replica %s: %d results for %d queries",
+			rep.Name, len(br.Results), len(call.queries))
+	}
+	failed := 0
+	for i, e := range br.Results {
+		if e.Query != call.queries[i] {
+			return nil, fmt.Errorf("replica %s: entry %d answers %q, want %q",
+				rep.Name, i, e.Query, call.queries[i])
+		}
+		if e.Error != "" {
+			failed++
+		}
+	}
+	if failed == len(br.Results) {
+		return nil, fmt.Errorf("replica %s: %s", rep.Name, br.Results[0].Error)
+	}
+	return &br, nil
 }
 
 // ShardHealth is one replica's health-probe outcome.

@@ -6,6 +6,7 @@ package cluster_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -55,6 +56,14 @@ func newFixture(t *testing.T, shards int, cfg cluster.Config) *clusterFixture {
 	}
 	f.coord = coord
 	return f
+}
+
+// hangUntilGone is a shard that never answers. Like a real shard it
+// reads the request body first: the HTTP server notices a client
+// hang-up only once the body is consumed.
+func hangUntilGone(w http.ResponseWriter, r *http.Request) {
+	io.Copy(io.Discard, r.Body)
+	<-r.Context().Done()
 }
 
 // TestClusterHTTPParity: 2 and 4 shards served over HTTP must
@@ -190,9 +199,7 @@ func TestClusterAllShardsDown(t *testing.T) {
 // shard comes back as a timeout, not a hang.
 func TestClusterDeadlinePropagation(t *testing.T) {
 	f := newFixture(t, 1, cluster.Config{})
-	hang := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-r.Context().Done()
-	}))
+	hang := httptest.NewServer(http.HandlerFunc(hangUntilGone))
 	t.Cleanup(hang.Close)
 
 	coord, err := cluster.New(cluster.Config{

@@ -5,11 +5,14 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,7 +29,7 @@ func hangFirstServer(t *testing.T, inner http.Handler) *httptest.Server {
 	first.Store(true)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if first.CompareAndSwap(true, false) {
-			<-r.Context().Done()
+			hangUntilGone(w, r)
 			return
 		}
 		inner.ServeHTTP(w, r)
@@ -123,9 +126,7 @@ func TestCanceledVsTimeout(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			hang := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				<-r.Context().Done()
-			}))
+			hang := httptest.NewServer(http.HandlerFunc(hangUntilGone))
 			t.Cleanup(hang.Close)
 			coord, err := cluster.New(cluster.Config{
 				Shards:     cluster.SingleReplica(hang.URL),
@@ -171,9 +172,7 @@ func TestCanceledVsTimeout(t *testing.T) {
 // per-request contexts are done (the abandoned attempts drain into the
 // leg's buffered channel and exit).
 func TestNoGoroutineLeak(t *testing.T) {
-	hang := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-r.Context().Done()
-	}))
+	hang := httptest.NewServer(http.HandlerFunc(hangUntilGone))
 	t.Cleanup(hang.Close)
 	coord, err := cluster.New(cluster.Config{
 		Shards:     cluster.SingleReplica(hang.URL),
@@ -334,5 +333,90 @@ func TestSuggestBatchParity(t *testing.T) {
 		if !qa.Partial {
 			t.Fatalf("query %q not marked partial with a dead shard", qa.Query)
 		}
+	}
+}
+
+// corruptFirstServer wraps inner: the first shard response is rewritten
+// by mangle before it reaches the coordinator; every later response is
+// served as is.
+func corruptFirstServer(t *testing.T, inner http.Handler, mangle func(*cluster.BatchResponse)) *httptest.Server {
+	t.Helper()
+	var first atomic.Bool
+	first.Store(true)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !first.CompareAndSwap(true, false) {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		var br cluster.BatchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil {
+			t.Errorf("shard body: %v", err)
+		}
+		mangle(&br)
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(br)
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestMalformedShardReplyHedges: a shard response whose entries are
+// out of order, or in which every entry failed, fails its attempt; the
+// leg hedges and the answer is the standalone one — never another
+// query's partials merged under the wrong query.
+func TestMalformedShardReplyHedges(t *testing.T) {
+	f := newFixture(t, 2, cluster.Config{})
+	queries := f.queries[:3]
+	for name, tc := range map[string]struct {
+		mangle  func(*cluster.BatchResponse)
+		wantErr string
+	}{
+		"reversed": {
+			mangle:  func(br *cluster.BatchResponse) { slices.Reverse(br.Results) },
+			wantErr: "entry 0 answers",
+		},
+		"every entry failed": {
+			mangle: func(br *cluster.BatchResponse) {
+				for i := range br.Results {
+					br.Results[i].Error = "flush first"
+				}
+			},
+			wantErr: "flush first",
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			bad := corruptFirstServer(t, f.servers[1].Config.Handler, tc.mangle)
+			coord, err := cluster.New(cluster.Config{
+				Shards:  cluster.SingleReplica(f.servers[0].URL, bad.URL),
+				Timeout: 5 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ans, err := coord.SuggestBatch(context.Background(), queries, "", "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := ans.Shards[1]
+			if ans.Partial || s.State != "ok" || !s.Hedged || len(s.Attempts) != 2 ||
+				s.Attempts[0].State != "error" || !strings.Contains(s.Attempts[0].Error, tc.wantErr) {
+				t.Fatalf("partial=%v, mangled shard status = %+v", ans.Partial, s)
+			}
+			for qi, q := range queries {
+				want := f.full.Suggest(q)
+				got := ans.Queries[qi].Suggestions
+				if len(got) != len(want) {
+					t.Fatalf("%q: %d vs %d suggestions", q, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].Query() != want[i].Query ||
+						math.Abs(got[i].Score-want[i].Score) > 1e-12*math.Max(1, math.Abs(want[i].Score)) {
+						t.Fatalf("%q rank %d: %+v vs %+v", q, i, got[i], want[i])
+					}
+				}
+			}
+		})
 	}
 }

@@ -6,10 +6,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"xclean/internal/cluster"
+	"xclean/internal/qlog"
 )
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -31,41 +34,49 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 }
 
 // POST /shard/suggest answers a whole batch in one round-trip, entry
-// for entry identical to the single-query GET responses.
+// for entry identical to the same query sent alone as a body of one;
+// GET is not a shard transport.
 func TestShardSuggestBatch(t *testing.T) {
 	ts := httptest.NewServer(New(testEngine(t), Config{}).Handler())
 	t.Cleanup(ts.Close)
 	queries := []string{"rose fpga", "power point", "wirless"}
 
-	resp, body := postJSON(t, ts.URL+"/shard/suggest", cluster.BatchRequest{
-		Version: cluster.WireVersion,
-		Queries: queries,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	shardPost := func(queries []string) cluster.BatchResponse {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/shard/suggest", cluster.BatchRequest{
+			Version: cluster.WireVersion,
+			Queries: queries,
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%q: status %d: %s", queries, resp.StatusCode, body)
+		}
+		var br cluster.BatchResponse
+		if err := json.Unmarshal(body, &br); err != nil {
+			t.Fatal(err)
+		}
+		if br.Version != cluster.WireVersion || len(br.Results) != len(queries) {
+			t.Fatalf("envelope = version %d, %d results; want %d results at version %d",
+				br.Version, len(br.Results), len(queries), cluster.WireVersion)
+		}
+		return br
 	}
-	var br cluster.BatchResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatal(err)
-	}
-	if br.Version != cluster.WireVersion || len(br.Results) != len(queries) {
-		t.Fatalf("batch envelope = version %d, %d results; want %d results at version %d",
-			br.Version, len(br.Results), len(queries), cluster.WireVersion)
-	}
+	br := shardPost(queries)
 	for i, q := range queries {
 		e := br.Results[i]
 		if e.Query != q || e.Error != "" {
 			t.Fatalf("entry %d = %+v, want clean entry for %q", i, e, q)
 		}
-		_, single := get(t, ts.URL+"/shard/suggest?q="+url.QueryEscape(q))
-		var sr cluster.ShardResponse
-		if err := json.Unmarshal(single, &sr); err != nil {
-			t.Fatal(err)
+		single := shardPost([]string{q}).Results[0]
+		if single.Query != q || !reflect.DeepEqual(single.Candidates, e.Candidates) {
+			t.Fatalf("%q: batch entry %d candidates vs body-of-one %d",
+				q, len(e.Candidates), len(single.Candidates))
 		}
-		if len(e.Candidates) != len(sr.Candidates) {
-			t.Fatalf("%q: batch %d candidates vs single %d",
-				q, len(e.Candidates), len(sr.Candidates))
-		}
+	}
+
+	resp, body := get(t, ts.URL+"/shard/suggest?q=rose+fpga")
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
+		t.Fatalf("GET /shard/suggest: status %d, Allow %q: %s",
+			resp.StatusCode, resp.Header.Get("Allow"), body)
 	}
 
 	// Version and size validation reject bad batches up front.
@@ -153,10 +164,59 @@ func TestCoordinatorSuggestBatch(t *testing.T) {
 		t.Fatalf("warm batch results: %s", body)
 	}
 
-	// Malformed batches are rejected.
-	resp, body = postJSON(t, ts.URL+"/suggest", BatchSuggestBody{})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty batch: status %d: %s", resp.StatusCode, body)
+	// Malformed batches are rejected with the JSON error envelope.
+	for name, bad := range map[string]BatchSuggestBody{
+		"empty batch": {},
+		"negative k":  {Queries: queries, K: -3},
+	} {
+		resp, body = postJSON(t, ts.URL+"/suggest", bad)
+		var env struct {
+			Error string `json:"error"`
+		}
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &env) != nil || env.Error == "" {
+			t.Fatalf("%s: status %d: %s", name, resp.StatusCode, body)
+		}
+	}
+}
+
+// Every answered entry of a shard body enters the slow log as its own
+// Shard record, carrying the forwarded request ID.
+func TestShardSlowLogPerEntry(t *testing.T) {
+	var slow bytes.Buffer
+	ts := httptest.NewServer(New(testEngine(t), Config{
+		SlowLog: qlog.NewSlowLog(&slow, time.Nanosecond), // everything is slow
+	}).Handler())
+	t.Cleanup(ts.Close)
+	queries := []string{"rose fpga", "power point"}
+	b, err := json.Marshal(cluster.BatchRequest{Version: cluster.WireVersion, Queries: queries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/shard/suggest", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-Id", "coord-7")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	lines := strings.Split(strings.TrimSpace(slow.String()), "\n")
+	if len(lines) != len(queries) {
+		t.Fatalf("%d slow records for %d entries:\n%s", len(lines), len(queries), slow.String())
+	}
+	for i, line := range lines {
+		var rec qlog.SlowRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if !rec.Shard || rec.Query != queries[i] || rec.RequestID != "coord-7" || rec.DurationNs <= 0 {
+			t.Errorf("record %d = %+v, want a Shard record for %q", i, rec, queries[i])
+		}
 	}
 }
 

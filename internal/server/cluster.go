@@ -29,30 +29,48 @@ type partialSuggester interface {
 	SuggestPartialsContext(ctx context.Context, query string, explain bool) (xclean.PartialSet, []obs.Span, error)
 }
 
-// handleShardSuggest serves GET /shard/suggest: the shard half of the
-// scatter-gather protocol. It runs the scan half of Algorithm 1 and
-// returns the γ-bounded partial accumulator table in the versioned
-// wire envelope, leaving error-model weighting, normalization, and
-// ranking to the coordinator.
+// handleShardSuggest serves POST /shard/suggest: the shard half of the
+// scatter-gather protocol, for one query or a batch alike. It runs the
+// scan half of Algorithm 1 per query and returns the γ-bounded partial
+// accumulator tables in the versioned wire envelope, leaving
+// error-model weighting, normalization, and ranking to the
+// coordinator. The body is one admission unit and one scan loop under
+// the forwarded deadline; a query that fails marks only its own entry.
+// A deadline that dies before the first scan finishes answers 503, and
+// one that dies mid-body marks the remaining entries failed without
+// running them.
 func (s *Server) handleShardSuggest(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodPost {
-		s.handleShardSuggestBatch(w, r)
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, "GET (single query) or POST (batch)")
+	var br cluster.BatchRequest
+	if err := json.NewDecoder(io.LimitReader(r.Body, 4<<20)).Decode(&br); err != nil {
+		s.writeError(w, http.StatusBadRequest, "bad batch body: "+err.Error())
 		return
 	}
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		s.writeError(w, http.StatusBadRequest, "missing query parameter q")
+	if br.Version != cluster.WireVersion {
+		s.writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("wire version %d (this shard speaks %d)", br.Version, cluster.WireVersion))
 		return
 	}
-	if len(q) > s.cfg.maxQueryLen() {
-		s.writeError(w, http.StatusBadRequest, "query too long")
+	if len(br.Queries) == 0 {
+		s.writeError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	eng, corpus, err := s.resolveEngine(r)
+	if len(br.Queries) > cluster.MaxBatchQueries {
+		s.writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("batch of %d queries exceeds the %d limit", len(br.Queries), cluster.MaxBatchQueries))
+		return
+	}
+	for _, q := range br.Queries {
+		if q == "" || len(q) > s.cfg.maxQueryLen() {
+			s.writeError(w, http.StatusBadRequest, "batch query empty or too long")
+			return
+		}
+	}
+	eng, corpus, err := s.resolveEngineByName(br.Corpus)
 	if err != nil {
 		s.writeError(w, catalogStatus(err), err.Error())
 		return
@@ -64,12 +82,13 @@ func (s *Server) handleShardSuggest(w http.ResponseWriter, r *http.Request) {
 	}
 	rid := requestIDFrom(r.Context())
 	// A sampled incoming traceparent (the coordinator's per-attempt
-	// span) switches the scan to its explained variant so the response
-	// envelope can carry this shard's span subtree; the coordinator
-	// made the sampling decision, so no local sampler runs here.
+	// span) switches the scans to their explained variant so the
+	// response envelope can carry this shard's span subtree; the
+	// coordinator made the sampling decision, so no local sampler runs
+	// here.
 	_, parentSpan, sampled, hasTrace := obs.ParseTraceparent(r.Header.Get("Traceparent"))
 	traced := sampled && hasTrace
-	// The scan honors the coordinator's forwarded deadline (the HTTP
+	// The scans honor the coordinator's forwarded deadline (the HTTP
 	// request context dies when the coordinator's budget expires or it
 	// hangs up), capped by this shard's own RequestTimeout; shard scans
 	// pass the same admission gate as standalone ones.
@@ -86,55 +105,77 @@ func (s *Server) handleShardSuggest(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	if s.cfg.InjectDelay > 0 {
-		// Counted inside the scan's took so the slow shard is slow in
+		// Counted inside the scans' took so the slow shard is slow in
 		// its own span and slow log, not just the coordinator's view.
 		time.Sleep(s.cfg.InjectDelay)
 	}
-	set, stageSpans, err := ps.SuggestPartialsContext(ctx, q, traced)
-	release()
-	if err != nil {
-		if isCtxErr(err) {
+	// The shard's server span adopts the coordinator's attempt span as
+	// parent, so the returned subtree stitches into the coordinator's
+	// tree with no ID rewriting.
+	var self obs.SpanID
+	var stages []*obs.SpanNode
+	if traced {
+		self = obs.NewSpanID()
+	}
+	results := make([]cluster.BatchEntry, len(br.Queries))
+	for i, q := range br.Queries {
+		results[i].Query = q
+		set, stageSpans, err := ps.SuggestPartialsContext(ctx, q, traced)
+		if err != nil {
+			if !isCtxErr(err) {
+				results[i].Error = err.Error()
+				continue
+			}
 			s.adm.cancels.Add(1)
-			s.writeOverdeadline(w, err)
-			return
+			if i == 0 {
+				release()
+				s.writeOverdeadline(w, err)
+				return
+			}
+			// The remaining scans would fail identically, so mark them
+			// without running them.
+			for j := i; j < len(br.Queries); j++ {
+				results[j].Query = br.Queries[j]
+				results[j].Error = err.Error()
+			}
+			break
 		}
-		s.writeError(w, http.StatusNotImplemented, err.Error())
-		return
+		results[i].PartialSet = set
+		if traced {
+			stages = append(stages, obs.StageSpanNodes(self, stageSpans)...)
+		}
+		// Shard scans enter the slow log too (without a trace), marked
+		// Shard and carrying the coordinator's forwarded request ID, so
+		// a slow coordinated query is attributable to the shard that
+		// lagged. Each entry's duration runs from the handler's start.
+		took := time.Since(start)
+		if s.cfg.SlowLog.Record(qlog.SlowRecord{
+			RequestID:   rid,
+			Corpus:      corpus,
+			Query:       q,
+			Shard:       true,
+			DurationNs:  took.Nanoseconds(),
+			Suggestions: len(set.Candidates),
+		}) {
+			if s.cfg.Obs != nil {
+				s.cfg.Obs.SlowQueries.Inc()
+			}
+			if s.cfg.Logger != nil {
+				s.cfg.Logger.Warn("slow shard scan", "requestId", rid, "corpus", corpus,
+					"query", q, "tookMillis", float64(took.Microseconds())/1000)
+			}
+		}
 	}
+	release()
 	took := time.Since(start)
-	// Shard scans enter the slow log too (without a trace), marked
-	// Shard and carrying the coordinator's forwarded request ID, so a
-	// slow coordinated query is attributable to the shard that lagged.
-	if s.cfg.SlowLog.Record(qlog.SlowRecord{
-		RequestID:   rid,
-		Corpus:      corpus,
-		Query:       q,
-		Shard:       true,
-		DurationNs:  took.Nanoseconds(),
-		Suggestions: len(set.Candidates),
-	}) {
-		if s.cfg.Obs != nil {
-			s.cfg.Obs.SlowQueries.Inc()
-		}
-		if s.cfg.Logger != nil {
-			s.cfg.Logger.Warn("slow shard scan", "requestId", rid, "corpus", corpus,
-				"query", q, "tookMillis", float64(took.Microseconds())/1000)
-		}
-	}
-	resp := cluster.ShardResponse{
+	resp := cluster.BatchResponse{
 		Version:    cluster.WireVersion,
 		Corpus:     corpus,
-		Query:      q,
-		RequestID:  rid,
 		TookMillis: float64(took.Microseconds()) / 1000,
-		PartialSet: set,
+		Results:    results,
 	}
 	if traced {
-		// The shard's server span adopts the coordinator's attempt span
-		// as parent, so the returned subtree stitches into the
-		// coordinator's tree with no ID rewriting.
-		self := obs.NewSpanID()
-		span := &obs.SpanNode{
+		resp.TraceSpan = &obs.SpanNode{
 			SpanID:        self.String(),
 			ParentSpanID:  parentSpan.String(),
 			Name:          "shard.suggest",
@@ -142,10 +183,9 @@ func (s *Server) handleShardSuggest(w http.ResponseWriter, r *http.Request) {
 			StartUnixNano: start.UnixNano(),
 			DurationNs:    took.Nanoseconds(),
 		}
-		for _, n := range obs.StageSpanNodes(self, stageSpans) {
-			span.AddChild(n)
+		for _, n := range stages {
+			resp.TraceSpan.AddChild(n)
 		}
-		resp.TraceSpan = span
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -223,18 +263,7 @@ func (s *Server) handleClusterSuggest(w http.ResponseWriter, r *http.Request, q 
 	tr := s.finishTrace(tc, traceParent, "suggest", rid, q, res.Corpus,
 		start, took, res.Partial, res.Spans, nil)
 
-	sugs := make([]xclean.Suggestion, len(res.Suggestions))
-	for i, ms := range res.Suggestions {
-		sugs[i] = xclean.Suggestion{
-			Query:        ms.Query(),
-			Words:        ms.Words,
-			Score:        ms.Score,
-			ResultType:   ms.ResultType,
-			Entities:     ms.Entities,
-			EditDistance: ms.EditDistance,
-			Witness:      ms.Witness,
-		}
-	}
+	sugs := xclean.ConvertMerged(res.Suggestions)
 	// Only complete answers are cacheable: a degraded answer must not
 	// outlive the outage that produced it. debug=1 runs bypass the
 	// write too, mirroring the standalone handler.
@@ -266,116 +295,14 @@ func (s *Server) handleClusterSuggest(w http.ResponseWriter, r *http.Request, q 
 
 func (s *Server) writeClusterResponse(w http.ResponseWriter, q, corpus, rid string,
 	sugs []xclean.Suggestion, shards []cluster.ShardStatus, partial bool, took time.Duration, k int) {
-	if k > 0 && len(sugs) > k {
-		sugs = sugs[:k]
-	}
-	resp := SuggestResponse{
+	s.writeJSON(w, http.StatusOK, SuggestResponse{
 		Query:       q,
 		Corpus:      corpus,
-		Suggestions: make([]SuggestionJSON, len(sugs)),
+		Suggestions: suggestionJSON(sugs, k),
 		TookMillis:  float64(took.Microseconds()) / 1000,
 		RequestID:   rid,
 		Partial:     partial,
 		Shards:      shards,
-	}
-	for i, sg := range sugs {
-		resp.Suggestions[i] = SuggestionJSON{
-			Query:        sg.Query,
-			Words:        sg.Words,
-			Score:        sg.Score,
-			ResultType:   sg.ResultType,
-			Entities:     sg.Entities,
-			EditDistance: sg.EditDistance,
-			Witness:      sg.Witness,
-		}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// handleShardSuggestBatch serves POST /shard/suggest: the batched
-// shard half of the scatter-gather protocol. The whole batch is one
-// admission unit and one scan loop under the forwarded deadline; a
-// mid-batch context death marks the remaining queries failed in their
-// entries (the coordinator degrades just those queries) instead of
-// failing the round-trip. Batched scans are untraced and skip the
-// slow log (there is no single query to attribute the latency to).
-func (s *Server) handleShardSuggestBatch(w http.ResponseWriter, r *http.Request) {
-	var br cluster.BatchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 4<<20)).Decode(&br); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad batch body: "+err.Error())
-		return
-	}
-	if br.Version != cluster.WireVersion {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("wire version %d (this shard speaks %d)", br.Version, cluster.WireVersion))
-		return
-	}
-	if len(br.Queries) == 0 {
-		s.writeError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(br.Queries) > cluster.MaxBatchQueries {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d queries exceeds the %d limit", len(br.Queries), cluster.MaxBatchQueries))
-		return
-	}
-	for _, q := range br.Queries {
-		if q == "" || len(q) > s.cfg.maxQueryLen() {
-			s.writeError(w, http.StatusBadRequest, "batch query empty or too long")
-			return
-		}
-	}
-	eng, corpus, err := s.resolveEngineByName(br.Corpus)
-	if err != nil {
-		s.writeError(w, catalogStatus(err), err.Error())
-		return
-	}
-	ps, ok := eng.(partialSuggester)
-	if !ok {
-		s.writeError(w, http.StatusNotImplemented, "engine does not serve shard partials")
-		return
-	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	release, admit := s.adm.acquire(ctx)
-	switch admit {
-	case admitShed:
-		s.writeShed(w)
-		return
-	case admitTimeout:
-		s.writeOverdeadline(w, ctx.Err())
-		return
-	}
-	start := time.Now()
-	if s.cfg.InjectDelay > 0 {
-		time.Sleep(s.cfg.InjectDelay)
-	}
-	results := make([]cluster.BatchEntry, len(br.Queries))
-	for i, q := range br.Queries {
-		results[i].Query = q
-		set, _, err := ps.SuggestPartialsContext(ctx, q, false)
-		if err != nil {
-			results[i].Error = err.Error()
-			if isCtxErr(err) {
-				// The deadline died mid-batch: the remaining scans would
-				// fail identically, so mark them without running them.
-				s.adm.cancels.Add(1)
-				for j := i + 1; j < len(br.Queries); j++ {
-					results[j].Query = br.Queries[j]
-					results[j].Error = err.Error()
-				}
-				break
-			}
-			continue
-		}
-		results[i].PartialSet = set
-	}
-	release()
-	s.writeJSON(w, http.StatusOK, cluster.BatchResponse{
-		Version:    cluster.WireVersion,
-		Corpus:     corpus,
-		TookMillis: float64(time.Since(start).Microseconds()) / 1000,
-		Results:    results,
 	})
 }
 
@@ -414,6 +341,10 @@ func (s *Server) handleClusterSuggestBatch(w http.ResponseWriter, r *http.Reques
 	}
 	if len(body.Queries) == 0 {
 		s.writeError(w, http.StatusBadRequest, "empty batch (want {\"queries\": [...]})")
+		return
+	}
+	if body.K < 0 {
+		s.writeError(w, http.StatusBadRequest, "k must not be negative")
 		return
 	}
 	if len(body.Queries) > cluster.MaxBatchQueries {
@@ -480,18 +411,7 @@ func (s *Server) handleClusterSuggestBatch(w http.ResponseWriter, r *http.Reques
 		partial = ans.Partial
 		for mi, qa := range ans.Queries {
 			i := missAt[mi]
-			sugs := make([]xclean.Suggestion, len(qa.Suggestions))
-			for j, ms := range qa.Suggestions {
-				sugs[j] = xclean.Suggestion{
-					Query:        ms.Query(),
-					Words:        ms.Words,
-					Score:        ms.Score,
-					ResultType:   ms.ResultType,
-					Entities:     ms.Entities,
-					EditDistance: ms.EditDistance,
-					Witness:      ms.Witness,
-				}
-			}
+			sugs := xclean.ConvertMerged(qa.Suggestions)
 			results[i].Suggestions = suggestionJSON(sugs, body.K)
 			results[i].Partial = qa.Partial
 			// Only complete answers are cacheable, mirroring the GET path.

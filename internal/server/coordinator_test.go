@@ -1,13 +1,17 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"xclean"
 	"xclean/internal/cluster"
+	"xclean/internal/obs"
 )
 
 // coordServer stands up one real shard (testEngine over HTTP) and a
@@ -105,7 +109,10 @@ func TestCoordinatorDebugBypassesCache(t *testing.T) {
 func TestShardSuggestHonorsDeadline(t *testing.T) {
 	ts := httptest.NewServer(New(testEngine(t), Config{RequestTimeout: time.Nanosecond}).Handler())
 	t.Cleanup(ts.Close)
-	resp, body := get(t, ts.URL+"/shard/suggest?q=rose+fpga")
+	resp, body := postJSON(t, ts.URL+"/shard/suggest", cluster.BatchRequest{
+		Version: cluster.WireVersion,
+		Queries: []string{"rose fpga"},
+	})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503: %s", resp.StatusCode, body)
 	}
@@ -119,5 +126,55 @@ func TestShardSuggestHonorsDeadline(t *testing.T) {
 	}
 	if m.Admission.CancelledScans == 0 {
 		t.Error("cancelled shard scan not counted")
+	}
+}
+
+// blockShard is a shard engine whose partial scans park until their
+// context dies.
+type blockShard struct{ *blockEngine }
+
+func (e blockShard) SuggestPartialsContext(ctx context.Context, q string, explain bool) (xclean.PartialSet, []obs.Span, error) {
+	e.entered <- struct{}{}
+	<-ctx.Done()
+	return xclean.PartialSet{}, nil, ctx.Err()
+}
+
+// A coordinator hanging up mid-scan cancels the shard's scan: the
+// handler consumes the POST body before scanning, which is what lets
+// the HTTP server notice the disconnect and cancel the request context.
+func TestShardScanStopsWhenCoordinatorHangsUp(t *testing.T) {
+	eng := blockShard{newBlockEngine()}
+	ts := admissionServer(t, eng, Config{})
+	b, err := json.Marshal(cluster.BatchRequest{Version: cluster.WireVersion, Queries: []string{"rose fpga"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/shard/suggest", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-eng.entered
+	cancel()
+	<-done
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		_, body := get(t, ts.URL+"/metricz")
+		var m Metrics
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatal(err)
+		}
+		if m.Admission.CancelledScans == 1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("shard scan still running after the coordinator hung up: %+v", m.Admission)
+		}
 	}
 }

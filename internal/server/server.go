@@ -28,7 +28,7 @@
 // With Config.Cluster set, the server is a scatter-gather coordinator:
 // /suggest fans out to entity-partitioned shard servers over
 //
-//	GET /shard/suggest?q=<query>[&corpus=name]  → per-candidate partial sums (versioned JSON)
+//	POST /shard/suggest {"version":2,"queries":[...]}  → per-query partial sums (versioned JSON)
 //
 // (served by any node whose engine supports partial scans) and merges
 // the partial scores into the global top-k. Degraded answers carry
@@ -549,33 +549,20 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 				"query", q, "spaces", spaces, "tookMillis", float64(took.Microseconds())/1000)
 		}
 	}
-	if k > 0 && len(sugs) > k {
-		sugs = sugs[:k]
-	}
 
 	resp := SuggestResponse{
 		Query:       q,
 		Corpus:      corpus,
-		Suggestions: make([]SuggestionJSON, len(sugs)),
+		Suggestions: suggestionJSON(sugs, k),
 		TookMillis:  float64(time.Since(start).Microseconds()) / 1000,
 		RequestID:   rid,
 	}
 	if debug {
 		resp.Explain = ex
 	}
-	withPreview := r.URL.Query().Get("preview") == "1"
-	for i, sg := range sugs {
-		resp.Suggestions[i] = SuggestionJSON{
-			Query:        sg.Query,
-			Words:        sg.Words,
-			Score:        sg.Score,
-			ResultType:   sg.ResultType,
-			Entities:     sg.Entities,
-			EditDistance: sg.EditDistance,
-			Witness:      sg.Witness,
-		}
-		if withPreview {
-			resp.Suggestions[i].Preview = eng.Preview(sg, previewLen)
+	if r.URL.Query().Get("preview") == "1" {
+		for i := range resp.Suggestions {
+			resp.Suggestions[i].Preview = eng.Preview(sugs[i], previewLen)
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)

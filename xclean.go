@@ -559,7 +559,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (Response, error) {
 	ce, st := e.route()
 	if st != nil {
 		out, _, ex, err := st.Suggest(ctx, req)
-		return Response{Suggestions: e.convertMerged(out), Explain: ex}, err
+		return Response{Suggestions: ConvertMerged(out), Explain: ex}, err
 	}
 	res, err := ce.Query(ctx, req)
 	return Response{Suggestions: e.convert(res.Suggestions), Explain: res.Explain}, err
@@ -819,9 +819,10 @@ func (e *Engine) convert(in []core.Suggestion) []Suggestion {
 	return out
 }
 
-// convertMerged maps the segmented path's merged suggestions (which
-// already carry label-path and dot-form strings) to the public type.
-func (e *Engine) convertMerged(in []core.MergedSuggestion) []Suggestion {
+// ConvertMerged maps merged suggestions — the segmented path's, or a
+// cluster coordinator's — which already carry label-path and dot-form
+// strings, to the public type. An empty input maps to nil.
+func ConvertMerged(in []core.MergedSuggestion) []Suggestion {
 	if len(in) == 0 {
 		return nil
 	}
