@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"sort"
 	"sync"
 
@@ -50,18 +49,48 @@ type pqEntry struct {
 	est     float64
 }
 
+// estimateHeap is a min-heap of queue entries by estimate. push and
+// pop are container/heap's Push and Pop specialised to pqEntry — the
+// same sift steps in the same order, so the queue evolves identically
+// — without boxing every entry into an interface.
 type estimateHeap []pqEntry
 
-func (h estimateHeap) Len() int            { return len(h) }
-func (h estimateHeap) Less(i, j int) bool  { return h[i].est < h[j].est }
-func (h estimateHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *estimateHeap) Push(x interface{}) { *h = append(*h, x.(pqEntry)) }
-func (h *estimateHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+func (h *estimateHeap) push(e pqEntry) {
+	*h = append(*h, e)
+	q := *h
+	j := len(q) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(q[j].est < q[i].est) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *estimateHeap) pop() pqEntry {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && q[j2].est < q[j1].est {
+			j = j2 // right child
+		}
+		if !(q[j].est < q[i].est) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
 
 // accumulators is the bounded candidate-score table. At most limit
@@ -73,6 +102,14 @@ func (h *estimateHeap) Pop() interface{} {
 // stale entries are skipped when popped. Since entity contributions
 // are non-negative, estimates only grow, so a live popped entry is a
 // true minimum.
+//
+// Accumulators and their words/choice slices are carved from bump
+// slabs the table owns (see carve), so admitting a candidate costs an
+// allocation only when a slab fills, and an admission that evicts a
+// victim recycles the victim's storage (see newAccum): the slabs hold
+// O(γ) accumulators however long the scan. release drops the slabs
+// without reusing them: accumulators still in the table when it is
+// released stay valid for as long as anything references them.
 type accumulators struct {
 	limit  int // ≤ 0 means unlimited
 	policy EvictionPolicy
@@ -84,6 +121,31 @@ type accumulators struct {
 	fifo []pqEntry
 	// evictions counts discarded accumulators.
 	evictions int
+
+	slab    []accum
+	words   []string
+	choices []int
+}
+
+// slabStart is the capacity of a table's first slab of each kind;
+// every later slab doubles the previous one. Small tables — one per
+// segment scan in a stack — then stay small, and a γ-sized table costs
+// O(log γ) slab allocations.
+const slabStart = 4
+
+// carve returns n zeroed elements from the bump arena *a, starting a
+// new arena of twice the old capacity (at least slabStart, at least n)
+// when the current one cannot fit them. Earlier carvings keep their
+// backing array, so pointers into them stay valid; elements are never
+// handed out twice.
+func carve[T any](a *[]T, n int) []T {
+	s := *a
+	if cap(s)-len(s) < n {
+		s = make([]T, 0, max(2*cap(s), n, slabStart))
+	}
+	s = s[:len(s)+n]
+	*a = s
+	return s[len(s)-n : len(s) : len(s)]
 }
 
 func newAccumulators(limit int, policy EvictionPolicy) *accumulators {
@@ -94,8 +156,7 @@ func newAccumulators(limit int, policy EvictionPolicy) *accumulators {
 }
 
 // accTablePool recycles accumulator tables (the map, queue, and FIFO
-// buffers — never the accumulators themselves, whose words and keys
-// escape into Suggestions and PartialCandidates).
+// buffers — never the slabs, whose accumulators may outlive the table).
 var accTablePool = sync.Pool{New: func() interface{} {
 	return &accumulators{m: make(map[string]*accum)}
 }}
@@ -116,21 +177,26 @@ func getAccumulators(limit int, policy EvictionPolicy) *accumulators {
 }
 
 // release returns the table's storage to the pool. The accumulators it
-// held remain valid — only the table's own references are dropped.
+// held remain valid — only the table's own references, slabs included,
+// are dropped.
 func (t *accumulators) release() {
 	clear(t.m)
 	t.pq = t.pq[:0]
 	t.fifo = t.fifo[:0]
+	t.slab, t.words, t.choices = nil, nil, nil
 	accTablePool.Put(t)
 }
 
-// add merges one subtree's contribution for a candidate identified by
-// keyBytes (a byte view so that the lookup for known candidates — the
-// overwhelmingly common case — does not materialize a string). It
-// returns the accumulator (nil if the candidate was rejected because
-// the table is full and its estimate is the lowest).
+// add merges one subtree's contribution for the candidate identified
+// by key. The caller interns key (the scan's type cache holds one
+// string per candidate), so the table stores it without copying;
+// witness is the first matched root's key bytes and is copied only if
+// the accumulator records it. A brand-new candidate is tested against
+// the γ bound before anything is built for it: rejection allocates
+// nothing. add returns the accumulator, or nil if the candidate was
+// rejected because the table is full and its estimate is the lowest.
 func (t *accumulators) add(
-	keyBytes []byte,
+	key string,
 	words []string,
 	choice []int,
 	resultType xmltree.PathID,
@@ -138,14 +204,14 @@ func (t *accumulators) add(
 	sum float64,
 	bgMatched float64,
 	entities int,
-	witness string,
+	witness []byte,
 ) *accum {
-	if a, ok := t.m[string(keyBytes)]; ok { // no alloc: map lookup
+	if a, ok := t.m[key]; ok {
 		a.sum += sum
 		a.bgMatched += bgMatched
 		a.entities += entities
 		if a.witness == "" {
-			a.witness = witness
+			a.witness = string(witness)
 		}
 		// Refresh the queue entry only when the estimate doubled: the
 		// stale entry under-estimates by at most 2×, a bounded error in
@@ -153,27 +219,17 @@ func (t *accumulators) add(
 		if t.limit > 0 && t.policy == EvictLowestEstimate && a.estimate() > 2*a.pqEst {
 			a.version++
 			a.pqEst = a.estimate()
-			heap.Push(&t.pq, pqEntry{key: a.key, seq: a.seq, version: a.version, est: a.pqEst})
+			t.pq.push(pqEntry{key: a.key, seq: a.seq, version: a.version, est: a.pqEst})
 		}
 		return a
 	}
-	key := string(keyBytes)
-	a := &accum{
-		key:         key,
-		words:       append([]string(nil), words...),
-		choice:      append([]int(nil), choice...),
-		resultType:  resultType,
-		sum:         sum,
-		bgMatched:   bgMatched,
-		entities:    entities,
-		witness:     witness,
-		weightOverN: weightOverN,
-		seq:         t.seq,
-	}
+	seq := t.seq
 	t.seq++
+	var reuse *accum
 	if t.limit > 0 && len(t.m) >= t.limit {
 		victim := t.victim()
-		if t.policy == EvictLowestEstimate && victim != nil && a.estimate() <= victim.estimate() {
+		// weightOverN*sum is exactly the newcomer's estimate().
+		if t.policy == EvictLowestEstimate && victim != nil && weightOverN*sum <= victim.estimate() {
 			// The newcomer itself is the lowest; reject it.
 			t.evictions++
 			return nil
@@ -182,16 +238,58 @@ func (t *accumulators) add(
 			delete(t.m, victim.key)
 			t.evictions++
 		}
+		reuse = victim
 	}
+	a := t.newAccum(reuse, len(words), len(choice))
+	*a = accum{
+		key:         key,
+		words:       a.words,
+		choice:      a.choice,
+		resultType:  resultType,
+		sum:         sum,
+		bgMatched:   bgMatched,
+		entities:    entities,
+		witness:     string(witness),
+		weightOverN: weightOverN,
+		seq:         seq,
+	}
+	copy(a.words, words)
+	copy(a.choice, choice)
 	t.m[key] = a
 	if t.limit > 0 {
 		a.pqEst = a.estimate()
 		e := pqEntry{key: a.key, seq: a.seq, version: a.version, est: a.pqEst}
 		if t.policy == EvictLowestEstimate {
-			heap.Push(&t.pq, e)
+			t.pq.push(e)
 		} else {
 			t.fifo = append(t.fifo, e)
 		}
+	}
+	return a
+}
+
+// newAccum returns storage for an accumulator with nWords words and
+// nChoice choices: the evicted victim's when there is one, its words
+// and choice slices too when they are long enough, and fresh slab
+// carvings otherwise. The victim is referenced only by the map entry
+// add just deleted (queue and FIFO entries name it by key and seq), so
+// recycling it keeps the slabs at O(γ) accumulators however many
+// admissions a scan makes. The returned words and choice have the
+// requested lengths; every other field is left for the caller to set.
+func (t *accumulators) newAccum(victim *accum, nWords, nChoice int) *accum {
+	a := victim
+	if a == nil {
+		a = &carve(&t.slab, 1)[0]
+	}
+	if cap(a.words) >= nWords {
+		a.words = a.words[:nWords]
+	} else {
+		a.words = carve(&t.words, nWords)
+	}
+	if cap(a.choice) >= nChoice {
+		a.choice = a.choice[:nChoice]
+	} else {
+		a.choice = carve(&t.choices, nChoice)
 	}
 	return a
 }
@@ -205,11 +303,11 @@ func (t *accumulators) add(
 // the caller having to compute the real score — the γ bound applied
 // before the work it prunes, not after. A rejection is counted as an
 // eviction, as add would.
-func (t *accumulators) wouldReject(keyBytes []byte, estUB float64) bool {
+func (t *accumulators) wouldReject(key string, estUB float64) bool {
 	if t.limit <= 0 || t.policy != EvictLowestEstimate || len(t.m) < t.limit {
 		return false
 	}
-	if _, ok := t.m[string(keyBytes)]; ok { // no alloc: map lookup
+	if _, ok := t.m[key]; ok {
 		return false
 	}
 	v := t.victim()
@@ -237,7 +335,7 @@ func (t *accumulators) victim() *accum {
 		e := t.pq[0]
 		a, ok := t.m[e.key]
 		if !ok || a.seq != e.seq || a.version != e.version {
-			heap.Pop(&t.pq) // stale
+			t.pq.pop() // stale
 			continue
 		}
 		return a

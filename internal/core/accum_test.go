@@ -1,8 +1,15 @@
 package core
 
 import (
+	"container/heap"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
+
+	"xclean/internal/xmltree"
 )
 
 // Direct unit tests for mergeAccumulators — the partial-table fold
@@ -162,5 +169,143 @@ func TestMergeAccumulatorsSumsCrossPartEstimates(t *testing.T) {
 	}
 	if _, ok := merged.m["spread"]; !ok {
 		t.Fatalf("survivor = %v, want spread (merged estimate 4 > 3)", sortedKeys(merged))
+	}
+}
+
+// boxedHeap is estimateHeap behind container/heap's interface: the
+// reference that the typed push and pop must follow step for step.
+type boxedHeap []pqEntry
+
+func (h boxedHeap) Len() int           { return len(h) }
+func (h boxedHeap) Less(i, j int) bool { return h[i].est < h[j].est }
+func (h boxedHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *boxedHeap) Push(x any)        { *h = append(*h, x.(pqEntry)) }
+func (h *boxedHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+// TestEstimateHeapMatchesContainerHeap drives random push, pop and
+// stale-skip sequences (victim's loop: pop while the head is stale)
+// through the typed heap and through container/heap, and requires the
+// same slice after every step. Estimates come from a small range so
+// ties, where only the exact sift order decides positions, are common.
+func TestEstimateHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		var typed estimateHeap
+		var ref boxedHeap
+		for step := 0; step < 300; step++ {
+			switch op := rng.Intn(3); {
+			case op == 0 || len(typed) == 0:
+				e := pqEntry{key: fmt.Sprint(step), seq: step, version: int64(rng.Intn(3)), est: float64(rng.Intn(16))}
+				typed.push(e)
+				heap.Push(&ref, e)
+			case op == 1:
+				got, want := typed.pop(), heap.Pop(&ref).(pqEntry)
+				if got != want {
+					t.Fatalf("trial %d step %d: pop %+v, container/heap %+v", trial, step, got, want)
+				}
+			default:
+				for len(typed) > 0 && typed[0].version == 0 {
+					typed.pop()
+					heap.Pop(&ref)
+				}
+			}
+			if !reflect.DeepEqual([]pqEntry(typed), []pqEntry(ref)) {
+				t.Fatalf("trial %d step %d: heaps diverge\ntyped %v\nref   %v", trial, step, typed, ref)
+			}
+		}
+	}
+}
+
+// TestAccumulatorRejectionAllocatesNothing: once the table is full, a
+// newcomer whose estimate is not above the victim's is turned away
+// before anything is built for it — no allocation, one eviction.
+func TestAccumulatorRejectionAllocatesNothing(t *testing.T) {
+	const limit = 64
+	acc := newAccumulators(limit, EvictLowestEstimate)
+	p := xmltree.PathID(1)
+	words, choice, witness := []string{"w", "v"}, []int{0, 1}, []byte("root")
+	for i := 0; i < limit; i++ {
+		acc.add(fmt.Sprintf("k%d", i), words, choice, p, 1, float64(1+i), 0, 1, witness)
+	}
+	add := func() *accum { return acc.add("newcomer", words, choice, p, 1, 0.5, 0, 1, witness) }
+	if a := add(); a != nil || acc.evictions != 1 || acc.len() != limit {
+		t.Fatalf("rejection: got %v, evictions %d, len %d; want nil, 1, %d", a, acc.evictions, acc.len(), limit)
+	}
+	if n := testing.AllocsPerRun(100, func() { add() }); n != 0 {
+		t.Errorf("rejecting a newcomer allocates %.1f times, want 0", n)
+	}
+	if _, ok := acc.m["newcomer"]; ok {
+		t.Error("rejected newcomer was admitted")
+	}
+}
+
+// TestEvictionRecyclesSlabs: admissions that evict a victim reuse the
+// victim's accumulator and, when long enough, its words and choice, so
+// N ≫ γ admissions leave the slabs O(γ) rather than O(N), and every
+// survivor still holds its own candidate's data.
+func TestEvictionRecyclesSlabs(t *testing.T) {
+	const limit, n = 16, 5000
+	for _, policy := range []EvictionPolicy{EvictLowestEstimate, EvictFIFO} {
+		acc := newAccumulators(limit, policy)
+		wordsOf := func(i int) []string { return strings.Fields(strings.Repeat(fmt.Sprintf("w%d ", i), 1+i%3)) }
+		for i := 0; i < n; i++ {
+			w := wordsOf(i)
+			choice := make([]int, len(w))
+			for j := range choice {
+				choice[j] = i
+			}
+			// Rising sums: every newcomer beats the current victim.
+			acc.add(fmt.Sprintf("k%d", i), w, choice, 1, 1, float64(1+i), 0, 1, []byte("root"))
+		}
+		if acc.len() != limit || acc.evictions != n-limit {
+			t.Fatalf("policy %v: len %d, evictions %d; want %d, %d", policy, acc.len(), acc.evictions, limit, n-limit)
+		}
+		// At most one accumulator carving per slot and, per slot, one
+		// words/choice carving per length increase (lengths 1..3).
+		if c := cap(acc.slab); c > 2*limit {
+			t.Errorf("policy %v: accumulator slab cap %d after %d admissions, want ≤ %d", policy, c, n, 2*limit)
+		}
+		if c := cap(acc.words); c > 12*limit {
+			t.Errorf("policy %v: words slab cap %d after %d admissions, want ≤ %d", policy, c, n, 12*limit)
+		}
+		if c := cap(acc.choices); c > 12*limit {
+			t.Errorf("policy %v: choice slab cap %d after %d admissions, want ≤ %d", policy, c, n, 12*limit)
+		}
+		for i := n - limit; i < n; i++ {
+			a := acc.m[fmt.Sprintf("k%d", i)]
+			if a == nil {
+				t.Fatalf("policy %v: k%d evicted", policy, i)
+			}
+			if w := wordsOf(i); !reflect.DeepEqual(a.words, w) || len(a.choice) != len(w) || a.choice[0] != i || a.sum != float64(1+i) || a.version != 0 {
+				t.Errorf("policy %v: k%d holds words %v choice %v sum %v version %d", policy, i, a.words, a.choice, a.sum, a.version)
+			}
+		}
+	}
+}
+
+// TestSlabsOutliveRelease: accumulators carved from a table's slabs
+// stay intact after the table is released and its pooled storage is
+// reused, which is what lets mergeAccumulators rehome them.
+func TestSlabsOutliveRelease(t *testing.T) {
+	acc := getAccumulators(0, EvictLowestEstimate)
+	var kept []*accum
+	for i := 0; i < 40; i++ { // several slabs of each kind
+		kept = append(kept, acc.add(fmt.Sprintf("k%d", i), []string{fmt.Sprint(i), "x"}, []int{i, 1}, 1, 1, 1, 0, 1, nil))
+	}
+	acc.release()
+	next := getAccumulators(0, EvictLowestEstimate)
+	for i := 0; i < 40; i++ {
+		next.add(fmt.Sprintf("j%d", i), []string{"y", "z"}, []int{7, 7}, 2, 1, 1, 0, 1, nil)
+	}
+	next.release()
+	for i, a := range kept {
+		if a.key != fmt.Sprintf("k%d", i) || a.words[0] != fmt.Sprint(i) || a.choice[0] != i {
+			t.Fatalf("accumulator %d clobbered after release: %+v", i, a)
+		}
 	}
 }

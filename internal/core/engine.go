@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"sort"
@@ -798,8 +799,10 @@ func (e *Engine) scanShard(ctx context.Context, kws []Keyword, shard, nShards in
 		g := sc.anchor
 		if e.deadOrds != nil && len(g) >= 2 && e.deadOrds[g[1]] {
 			// Tombstoned document: gallop every list past its subtree
-			// without reading the postings.
-			target := xmltree.Dewey{g[0], g[1] + 1}
+			// without reading the postings. g is the scratch's own copy,
+			// rewritten by the next iteration, so it becomes the target.
+			target := g[:2]
+			target[1]++
 			for _, l := range lists {
 				l.SkipTo(target)
 			}
@@ -822,8 +825,8 @@ func (e *Engine) scanShard(ctx context.Context, kws []Keyword, shard, nShards in
 				// Foreign child: gallop every list to this shard's next
 				// top-level child, skipping the intervening postings
 				// without reading them.
-				next := g[1] + uint32((shard-c+nShards)%nShards)
-				target := xmltree.Dewey{g[0], next}
+				target := g[:2] // the scratch's own copy, as above
+				target[1] += uint32((shard - c + nShards) % nShards)
 				for _, l := range lists {
 					l.SkipTo(target)
 				}
@@ -883,9 +886,10 @@ func (e *Engine) maxHead(lists []*invindex.MergedList) (xmltree.Dewey, bool) {
 }
 
 // groupEntry is one entity root observed for a (keyword, variant) at a
-// given depth, with the summed term frequency under it.
+// given depth, with the summed term frequency under it. rootKey is the
+// root's Dewey key, a slice of the scratch's key arena.
 type groupEntry struct {
-	rootKey string
+	rootKey []byte
 	path    xmltree.PathID
 	count   int32
 }
@@ -975,7 +979,7 @@ type candScratch struct {
 // idx), grouped by entity root at the given depth (lazily computed).
 // Occurrences arrive in document order, so equal roots are adjacent;
 // adjacency is detected by comparing Dewey prefixes (alias slices), and
-// the root key string is materialized only once per distinct root.
+// the root key is encoded into the key arena once per distinct root.
 func (e *Engine) group(sc *scanScratch, kw, idx, depth int) []groupEntry {
 	k := groupKey{kw, idx, depth}
 	if g, ok := sc.groups[k]; ok {
@@ -1000,7 +1004,10 @@ func (e *Engine) group(sc *scanScratch, kw, idx, depth int) []groupEntry {
 			continue
 		}
 		path := e.ix.PathTable().Ancestor(p.Path, depth)
-		g = append(g, groupEntry{rootKey: root.Key(), path: path, count: p.TF})
+		from := len(sc.keyArena)
+		sc.keyArena = root.AppendKey(sc.keyArena)
+		key := sc.keyArena[from:len(sc.keyArena):len(sc.keyArena)]
+		g = append(g, groupEntry{rootKey: key, path: path, count: p.TF})
 		prev = root
 	}
 	sc.groups[k] = g
@@ -1032,7 +1039,7 @@ func (e *Engine) scoreCandidate(
 	if tm != nil {
 		t0 = time.Now()
 	}
-	resType, cached := sc.typeCache[string(buf)] // no alloc: map lookup
+	tk, cached := sc.typeCache[string(buf)] // no alloc: map lookup
 	if cached {
 		st.TypeCacheHits++
 	} else {
@@ -1041,9 +1048,10 @@ func (e *Engine) scoreCandidate(
 		if !ok {
 			best = xmltree.InvalidPath
 		}
-		resType = best
-		sc.typeCache[string(buf)] = resType
+		tk = typedKey{path: best, key: string(buf)}
+		sc.typeCache[tk.key] = tk
 	}
+	resType := tk.path
 	if tm != nil {
 		tm[obs.StageTypeInfer] += time.Since(t0)
 		t1 := time.Now()
@@ -1079,7 +1087,7 @@ func (e *Engine) scoreCandidate(
 	// the candidate — skip the remaining grouping and intersection work.
 	// The decision is identical to add's, so results do not change.
 	if e.cfg.Prior == PriorUniform &&
-		acc.wouldReject(buf, weight/norm*float64(len(base))) {
+		acc.wouldReject(tk.key, weight/norm*float64(len(base))) {
 		st.Evictions++
 		return
 	}
@@ -1094,7 +1102,7 @@ func (e *Engine) scoreCandidate(
 
 	var sum, bgMatched float64
 	matched := 0
-	witness := ""
+	var witness []byte
 	counts := cand.counts
 	pos := cand.pos
 	for i := range pos {
@@ -1108,10 +1116,10 @@ func (e *Engine) scoreCandidate(
 		ok := true
 		for j, og := range others {
 			// Advance this keyword's cursor to ge.rootKey.
-			for pos[j] < len(og) && og[pos[j]].rootKey < ge.rootKey {
+			for pos[j] < len(og) && bytes.Compare(og[pos[j]].rootKey, ge.rootKey) < 0 {
 				pos[j]++
 			}
-			if pos[j] >= len(og) || og[pos[j]].rootKey != ge.rootKey {
+			if pos[j] >= len(og) || !bytes.Equal(og[pos[j]].rootKey, ge.rootKey) {
 				ok = false
 				break
 			}
@@ -1136,14 +1144,18 @@ func (e *Engine) scoreCandidate(
 	}
 
 	before := acc.evictions
-	acc.add(buf, words, choice, resType, weight/norm, sum, bgMatched, matched, witness)
+	acc.add(tk.key, words, choice, resType, weight/norm, sum, bgMatched, matched, witness)
 	st.Evictions += acc.evictions - before
 }
 
-// finalize converts accumulators into ranked suggestions.
+// finalize converts accumulators into the ranked top-k suggestions.
+// Every accumulator is scored, but only the k winners are built: their
+// witnesses decoded and their words copied into one fresh backing
+// array, so nothing returned pins the table's slabs.
 func (e *Engine) finalize(kws []Keyword, acc *accumulators) []Suggestion {
-	var out []Suggestion
-	for _, a := range acc.all() {
+	k := e.cfg.k()
+	top := make([]rankedAccum, 0, min(k, acc.len()))
+	for _, a := range acc.m {
 		norm := e.liveNorm(a.resultType)
 		if norm <= 0 {
 			continue
@@ -1154,43 +1166,125 @@ func (e *Engine) finalize(kws []Keyword, acc *accumulators) []Suggestion {
 		}
 		pCT := sum / norm
 		weight := 1.0
-		dist := 0
 		for i, idx := range a.choice {
 			weight *= kws[i].Variants[idx].Weight
-			dist += kws[i].Variants[idx].Dist
 		}
 		if e.bigram != nil {
 			weight *= e.bigram.SequenceProb(a.words)
+		}
+		top = insertTopK(top, k, rankedAccum{a: a, score: weight * pCT})
+	}
+	if len(top) == 0 {
+		return nil
+	}
+
+	nw := 0
+	for _, r := range top {
+		nw += len(r.a.words)
+	}
+	words := make([]string, 0, nw)
+	out := make([]Suggestion, len(top))
+	for i, r := range top {
+		a := r.a
+		dist := 0
+		for j, idx := range a.choice {
+			dist += kws[j].Variants[idx].Dist
 		}
 		var witness xmltree.Dewey
 		if a.witness != "" {
 			witness = xmltree.DeweyFromKey(a.witness)
 		}
-		out = append(out, Suggestion{
-			Words:        a.words,
-			Score:        weight * pCT,
+		from := len(words)
+		words = append(words, a.words...)
+		out[i] = Suggestion{
+			Words:        words[from:len(words):len(words)],
+			Score:        r.score,
 			ResultType:   a.resultType,
 			Entities:     a.entities,
 			EditDistance: dist,
 			Witness:      witness,
-		})
-	}
-	sortSuggestions(out)
-	if k := e.cfg.k(); len(out) > k {
-		out = out[:k]
+		}
 	}
 	return out
 }
 
-// sortSuggestions orders suggestions by descending score, breaking
-// ties by query text for determinism.
+// rankedAccum is one accumulator with its final score, a contender
+// for the top k.
+type rankedAccum struct {
+	a     *accum
+	score float64
+}
+
+// insertTopK inserts r into top — at most k contenders, best first in
+// rankBefore order — and drops whichever contender falls to place k+1.
+// The order is total over distinct word sequences, so the k kept are
+// exactly the first k of a full sort, whatever the insertion order.
+func insertTopK(top []rankedAccum, k int, r rankedAccum) []rankedAccum {
+	before := func(i int) bool {
+		return rankBefore(r.score, r.a.words, top[i].score, top[i].a.words)
+	}
+	if len(top) == k && !before(k-1) {
+		return top
+	}
+	i := sort.Search(len(top), before)
+	if len(top) < k {
+		top = append(top, rankedAccum{})
+	}
+	copy(top[i+1:], top[i:len(top)-1])
+	top[i] = r
+	return top
+}
+
+// sortSuggestions orders suggestions by rankBefore.
 func sortSuggestions(out []Suggestion) {
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Query() < out[j].Query()
+		return rankBefore(out[i].Score, out[i].Words, out[j].Score, out[j].Words)
 	})
+}
+
+// rankBefore is the ranking order of suggestions: descending score,
+// ties broken by query text (strings.Join(words, " ")) for determinism.
+func rankBefore(si float64, wi []string, sj float64, wj []string) bool {
+	if si != sj {
+		return si > sj
+	}
+	return joinedLess(wi, wj)
+}
+
+// joinedLess reports whether strings.Join(a, " ") < strings.Join(b, " "),
+// comparing the joined forms byte by byte without building them.
+func joinedLess(a, b []string) bool {
+	x, y := joinedBytes{words: a}, joinedBytes{words: b}
+	for {
+		cx, okx := x.next()
+		cy, oky := y.next()
+		switch {
+		case !okx || !oky:
+			return !okx && oky
+		case cx != cy:
+			return cx < cy
+		}
+	}
+}
+
+// joinedBytes reads strings.Join(words, " ") one byte at a time.
+type joinedBytes struct {
+	words []string
+	w, i  int // next byte is words[w][i], or the separator after words[w]
+}
+
+func (j *joinedBytes) next() (byte, bool) {
+	for j.w < len(j.words) {
+		if s := j.words[j.w]; j.i < len(s) {
+			j.i++
+			return s[j.i-1], true
+		}
+		j.w, j.i = j.w+1, 0
+		if j.w < len(j.words) {
+			return ' ', true
+		}
+	}
+	return 0, false
 }
 
 // backgroundMass is Σ over all entities of type p of the prior-weighted
@@ -1204,9 +1298,11 @@ func (e *Engine) backgroundMass(words []string, p xmltree.PathID) float64 {
 		}
 		return sum
 	}
+	var kb []byte
 	for _, key := range e.ix.RootsByPath(p) {
-		l := e.ix.SubtreeLenKey(key)
-		sum += e.prior.weight(key, l) * e.model.BackgroundOnlyProb(words, l)
+		kb = append(kb[:0], key...)
+		l := e.ix.SubtreeLenKey(kb)
+		sum += e.prior.weight(kb, l) * e.model.BackgroundOnlyProb(words, l)
 	}
 	return sum
 }

@@ -261,26 +261,26 @@ func TestErrorModelWeights(t *testing.T) {
 func TestAccumulators(t *testing.T) {
 	acc := newAccumulators(2, EvictLowestEstimate)
 	p := xmltree.PathID(1)
-	a1 := acc.add([]byte("a"), []string{"a"}, []int{0}, p, 1.0, 0.5, 0, 1, "w")
+	a1 := acc.add("a", []string{"a"}, []int{0}, p, 1.0, 0.5, 0, 1, []byte("w"))
 	if a1 == nil || acc.len() != 1 {
 		t.Fatal("first insert failed")
 	}
 	// Merge into the same candidate.
-	a1b := acc.add([]byte("a"), []string{"a"}, []int{0}, p, 1.0, 0.25, 0, 2, "w")
+	a1b := acc.add("a", []string{"a"}, []int{0}, p, 1.0, 0.25, 0, 2, []byte("w"))
 	if a1b != a1 || a1.sum != 0.75 || a1.entities != 3 {
 		t.Errorf("merge failed: %+v", a1)
 	}
-	acc.add([]byte("b"), []string{"b"}, []int{0}, p, 1.0, 0.3, 0, 1, "w")
+	acc.add("b", []string{"b"}, []int{0}, p, 1.0, 0.3, 0, 1, []byte("w"))
 
 	// Table full: a weak newcomer must be rejected.
-	if got := acc.add([]byte("c"), []string{"c"}, []int{0}, p, 1.0, 0.01, 0, 1, "w"); got != nil {
+	if got := acc.add("c", []string{"c"}, []int{0}, p, 1.0, 0.01, 0, 1, []byte("w")); got != nil {
 		t.Error("weak newcomer should be rejected")
 	}
 	if acc.evictions != 1 {
 		t.Errorf("evictions=%d", acc.evictions)
 	}
 	// A strong newcomer evicts the weakest ("b", estimate 0.3).
-	if got := acc.add([]byte("d"), []string{"d"}, []int{0}, p, 1.0, 5.0, 0, 1, "w"); got == nil {
+	if got := acc.add("d", []string{"d"}, []int{0}, p, 1.0, 5.0, 0, 1, []byte("w")); got == nil {
 		t.Error("strong newcomer rejected")
 	}
 	if _, ok := acc.m["b"]; ok {
@@ -294,9 +294,9 @@ func TestAccumulators(t *testing.T) {
 func TestAccumulatorsFIFO(t *testing.T) {
 	acc := newAccumulators(2, EvictFIFO)
 	p := xmltree.PathID(1)
-	acc.add([]byte("a"), []string{"a"}, []int{0}, p, 1.0, 9.0, 0, 1, "w")
-	acc.add([]byte("b"), []string{"b"}, []int{0}, p, 1.0, 1.0, 0, 1, "w")
-	acc.add([]byte("c"), []string{"c"}, []int{0}, p, 1.0, 0.1, 0, 1, "w")
+	acc.add("a", []string{"a"}, []int{0}, p, 1.0, 9.0, 0, 1, []byte("w"))
+	acc.add("b", []string{"b"}, []int{0}, p, 1.0, 1.0, 0, 1, []byte("w"))
+	acc.add("c", []string{"c"}, []int{0}, p, 1.0, 0.1, 0, 1, []byte("w"))
 	if _, ok := acc.m["a"]; ok {
 		t.Error("FIFO should evict the oldest regardless of score")
 	}
@@ -309,7 +309,7 @@ func TestAccumulatorsUnlimited(t *testing.T) {
 	acc := newAccumulators(0, EvictLowestEstimate)
 	p := xmltree.PathID(1)
 	for i := 0; i < 100; i++ {
-		acc.add([]byte(fmt.Sprintf("k%d", i)), []string{"w"}, []int{0}, p, 1, 1, 0, 1, "w")
+		acc.add(fmt.Sprintf("k%d", i), []string{"w"}, []int{0}, p, 1, 1, 0, 1, []byte("w"))
 	}
 	if acc.len() != 100 || acc.evictions != 0 {
 		t.Errorf("unlimited table evicted: len=%d ev=%d", acc.len(), acc.evictions)

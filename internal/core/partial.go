@@ -149,8 +149,6 @@ func (e *Engine) partials(ctx context.Context, kws []Keyword, workers int, rc *r
 	if acc == nil {
 		return ps, st, nil
 	}
-	// The candidates below hold the accumulators' words; only the
-	// table's storage is recycled.
 	defer acc.release()
 	if acc.len() == 0 {
 		return ps, st, nil
@@ -158,6 +156,13 @@ func (e *Engine) partials(ctx context.Context, kws []Keyword, workers int, rc *r
 
 	all := acc.all()
 	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
+	// The candidates' words are copied into one fresh backing array, so
+	// that nothing returned pins the table's slabs.
+	nw := 0
+	for _, a := range all {
+		nw += len(a.words)
+	}
+	words := make([]string, 0, nw)
 	ps.Candidates = make([]PartialCandidate, 0, len(all))
 	for _, a := range all {
 		sum := a.sum
@@ -178,8 +183,10 @@ func (e *Engine) partials(ctx context.Context, kws []Keyword, workers int, rc *r
 		if a.witness != "" {
 			witness = xmltree.DeweyFromKey(a.witness).String()
 		}
+		from := len(words)
+		words = append(words, a.words...)
 		ps.Candidates = append(ps.Candidates, PartialCandidate{
-			Words:      a.words,
+			Words:      words[from:len(words):len(words)],
 			ResultType: e.pathsView().String(a.resultType),
 			Sum:        sum,
 			Entities:   a.entities,
@@ -369,10 +376,7 @@ func MergePartials(cfg MergeConfig, sets []PartialSet) ([]MergedSuggestion, erro
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Query() < out[j].Query()
+		return rankBefore(out[i].Score, out[i].Words, out[j].Score, out[j].Words)
 	})
 	if k := cfg.k(); len(out) > k {
 		out = out[:k]

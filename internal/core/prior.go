@@ -50,8 +50,10 @@ func newEntityPrior(ix invindex.Source, mode Prior, custom map[string]float64) *
 				z += float64(l)
 			}
 		case PriorCustom:
+			var kb []byte
 			for _, key := range ix.RootsByPath(p) {
-				z += ep.customWeight(key)
+				kb = append(kb[:0], key...)
+				z += ep.customWeight(kb)
 			}
 		}
 		ep.norm[p] = z
@@ -59,15 +61,16 @@ func newEntityPrior(ix invindex.Source, mode Prior, custom map[string]float64) *
 	return ep
 }
 
-func (ep *entityPrior) customWeight(rootKey string) float64 {
-	if w, ok := ep.custom[rootKey]; ok && w > 0 {
+func (ep *entityPrior) customWeight(rootKey []byte) float64 {
+	if w, ok := ep.custom[string(rootKey)]; ok && w > 0 { // no alloc: map lookup
 		return 1 + w
 	}
 	return 1
 }
 
-// weight is the unnormalized prior weight of one entity.
-func (ep *entityPrior) weight(rootKey string, docLen int32) float64 {
+// weight is the unnormalized prior weight of one entity, keyed by its
+// root's Dewey key bytes.
+func (ep *entityPrior) weight(rootKey []byte, docLen int32) float64 {
 	switch ep.mode {
 	case PriorLength:
 		return float64(docLen)

@@ -20,10 +20,12 @@ type scanScratch struct {
 	// anchor holds the current subtree root, copied off the list head
 	// it was derived from.
 	anchor xmltree.Dewey
-	// typeCache memoizes result-type inference per candidate key. It is
-	// cleared on release: the pool is shared across engines, and a type
-	// cached against one index is wrong for another.
-	typeCache map[string]xmltree.PathID
+	// typeCache memoizes result-type inference per candidate key, and
+	// interns the key: the string made on a candidate's first inference
+	// is the one the accumulator table stores. It is cleared on release:
+	// the pool is shared across engines, and a type cached against one
+	// index is wrong for another.
+	typeCache map[string]typedKey
 	// occ[i] collects postings of keyword i's variants inside the
 	// current anchor subtree, densely indexed by variant ordinal. Their
 	// codes belong to lists[i] and live until it next moves — the next
@@ -37,7 +39,18 @@ type scanScratch struct {
 	// free for reuse.
 	groups map[groupKey][]groupEntry
 	free   [][]groupEntry
-	cand   candScratch
+	// keyArena holds the root keys of the current subtree's groupings;
+	// every groupEntry.rootKey is a slice of it. resetGroups truncates
+	// it with the groupings it serves.
+	keyArena []byte
+	cand     candScratch
+}
+
+// typedKey is one type-cache entry: the candidate's inferred result
+// type and its interned key.
+type typedKey struct {
+	path xmltree.PathID
+	key  string
 }
 
 // occSet is one keyword's per-anchor occurrence table: byVariant[v]
@@ -86,7 +99,7 @@ func (o *occSet) add(v int, p invindex.Posting) {
 
 var scanPool = sync.Pool{New: func() interface{} {
 	return &scanScratch{
-		typeCache: make(map[string]xmltree.PathID),
+		typeCache: make(map[string]typedKey),
 		groups:    make(map[groupKey][]groupEntry),
 	}
 }}
@@ -130,8 +143,9 @@ func (s *scanScratch) release() {
 }
 
 // resetGroups empties the per-anchor grouping cache, retiring the
-// value slices for reuse by newGroup.
+// value slices for reuse by newGroup and truncating the key arena.
 func (s *scanScratch) resetGroups() {
+	s.keyArena = s.keyArena[:0]
 	if len(s.groups) == 0 {
 		return
 	}

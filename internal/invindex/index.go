@@ -257,8 +257,8 @@ func (ix *Index) TypeList(tok string) []TypeCount { return ix.typeLists[tok] }
 // at the node with the given Dewey code. Unknown codes yield 0.
 func (ix *Index) SubtreeLen(d xmltree.Dewey) int32 { return ix.subtreeLen[d.Key()] }
 
-// SubtreeLenKey is SubtreeLen keyed by a precomputed Dewey.Key().
-func (ix *Index) SubtreeLenKey(key string) int32 { return ix.subtreeLen[key] }
+// SubtreeLenKey is SubtreeLen keyed by Dewey.Key bytes.
+func (ix *Index) SubtreeLenKey(key []byte) int32 { return ix.subtreeLen[string(key)] } // no alloc: map lookup
 
 // NodesWithPath is N_p: the number of nodes whose label path is p —
 // the entity count N of Eq. (8) once a result type is fixed.

@@ -98,7 +98,7 @@ func TestSubtreeLen(t *testing.T) {
 		if got := ix.SubtreeLen(d); got != want {
 			t.Errorf("SubtreeLen(%s)=%d want %d", s, got, want)
 		}
-		if got := ix.SubtreeLenKey(d.Key()); got != want {
+		if got := ix.SubtreeLenKey(d.AppendKey(nil)); got != want {
 			t.Errorf("SubtreeLenKey(%s)=%d want %d", s, got, want)
 		}
 	}

@@ -127,9 +127,7 @@ type member struct {
 	listCursor
 	token    string
 	tokenIdx int
-	// linear is SetLinearSkip's flag. It lives here, in the padding of
-	// member's allocation size class, so that the stream pointer does
-	// not push a slice-backed MergedList into a larger one.
+	// linear is SetLinearSkip's flag.
 	linear bool
 }
 
@@ -219,19 +217,7 @@ func (m *MergedList) Release() {
 // variant tokens. lists[i] must be the inverted list of tokens[i], in
 // document order.
 func NewMergedList(tokens []string, lists [][]Posting) *MergedList {
-	m := &MergedList{}
-	for i, l := range lists {
-		if len(l) == 0 {
-			continue
-		}
-		m.h = append(m.h, &member{
-			listCursor: &sliceCursor{list: l},
-			token:      tokens[i],
-			tokenIdx:   i,
-		})
-	}
-	heap.Init(&m.h)
-	return m
+	return newSliceMergedList(tokens, func(i int, _ string) []Posting { return lists[i] })
 }
 
 // MergedListFor builds the merged list for the given variant tokens
@@ -242,13 +228,33 @@ func (ix *Index) MergedListFor(tokens []string) *MergedList {
 	if ix.comp != nil {
 		return NewStreamedMergedList(tokens, func(tok string) *postings.List { return ix.comp[tok] })
 	}
-	m := &MergedList{}
+	return newSliceMergedList(tokens, func(_ int, tok string) []Posting { return ix.postings[tok] })
+}
+
+// newSliceMergedList builds a slice-backed merged list over list(i,
+// tokens[i]) for every token, skipping empty lists. Members and cursors
+// are carved from one exactly sized slice each, so a list costs a fixed
+// handful of allocations however many variants it merges — and nothing
+// for the variants absent from this index, which in a segment stack
+// (stack-global variant sets) are most of them.
+func newSliceMergedList(tokens []string, list func(i int, tok string) []Posting) *MergedList {
+	n := 0
 	for i, tok := range tokens {
-		pl := ix.postings[tok]
+		if len(list(i, tok)) > 0 {
+			n++
+		}
+	}
+	m := &MergedList{h: make(cursorHeap, 0, n)}
+	members := make([]member, 0, n) // never regrown: h points into it
+	cursors := make([]sliceCursor, 0, n)
+	for i, tok := range tokens {
+		pl := list(i, tok)
 		if len(pl) == 0 {
 			continue
 		}
-		m.h = append(m.h, &member{listCursor: &sliceCursor{list: pl}, token: tok, tokenIdx: i})
+		cursors = append(cursors, sliceCursor{list: pl})
+		members = append(members, member{listCursor: &cursors[len(cursors)-1], token: tok, tokenIdx: i})
+		m.h = append(m.h, &members[len(members)-1])
 	}
 	heap.Init(&m.h)
 	return m

@@ -42,8 +42,10 @@ type Source interface {
 	TypeList(tok string) []TypeCount
 	// PathDepth is the depth of label path p (resulttype.Source).
 	PathDepth(p xmltree.PathID) int
-	// SubtreeLenKey is |D(r)| keyed by a precomputed Dewey.Key().
-	SubtreeLenKey(key string) int32
+	// SubtreeLenKey is |D(r)| keyed by Dewey.Key bytes (as built by
+	// Dewey.AppendKey); the scan looks entities up from a reused key
+	// buffer, so implementations must not retain or allocate on key.
+	SubtreeLenKey(key []byte) int32
 	// NodesWithPath is N_p, the entity count N of Eq. (8).
 	NodesWithPath(p xmltree.PathID) int32
 	// SubtreeLensByPath returns the subtree token counts of every node

@@ -77,7 +77,13 @@ func (in *Inferrer) Best(tokens []string) (best xmltree.PathID, score float64, o
 		return xmltree.InvalidPath, 0, false
 	}
 	// Start from the rarest type list to keep the intersection small.
-	lists := make([][]invindex.TypeCount, len(tokens))
+	// Queries of up to 8 keywords keep the list headers on the stack.
+	var stack [8][]invindex.TypeCount
+	lists := stack[:0]
+	if len(tokens) > len(stack) {
+		lists = make([][]invindex.TypeCount, 0, len(tokens))
+	}
+	lists = lists[:len(tokens)]
 	minIdx := 0
 	for i, w := range tokens {
 		lists[i] = in.Index.TypeList(w)

@@ -87,7 +87,7 @@ func FuzzOpen(f *testing.F) {
 			_ = r.NodesWithPath(p)
 			_ = r.SubtreeLensByPath(p)
 			for _, key := range r.RootsByPath(p) {
-				_ = r.SubtreeLenKey(key)
+				_ = r.SubtreeLenKey([]byte(key))
 			}
 		}
 		_ = r.BigramCount("a", "b")

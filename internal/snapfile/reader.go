@@ -1,6 +1,7 @@
 package snapfile
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -667,10 +668,10 @@ func (r *Reader) subLenAt(i int) int32 {
 	return int32(getU32(r.secs[secSubLens][4*i:]))
 }
 
-// SubtreeLenKey is |D(r)| keyed by Dewey.Key.
-func (r *Reader) SubtreeLenKey(key string) int32 {
-	i := r.searchHeap(secSubKeys, r.subCount, key)
-	if i < r.subCount && string(r.subKey(i)) == key {
+// SubtreeLenKey is |D(r)| keyed by Dewey.Key bytes.
+func (r *Reader) SubtreeLenKey(key []byte) int32 {
+	i := sort.Search(r.subCount, func(i int) bool { return bytes.Compare(r.subKey(i), key) >= 0 })
+	if i < r.subCount && bytes.Equal(r.subKey(i), key) {
 		return r.subLenAt(i)
 	}
 	return 0

@@ -108,7 +108,7 @@ func compareSource(t *testing.T, ix *invindex.Index, got invindex.Source) {
 			t.Errorf("RootsByPath(%d) diverges", p)
 		}
 		for _, key := range ix.RootsByPath(p) {
-			if got.SubtreeLenKey(key) != ix.SubtreeLenKey(key) {
+			if got.SubtreeLenKey([]byte(key)) != ix.SubtreeLenKey([]byte(key)) {
 				t.Errorf("SubtreeLenKey(%q) diverges", key)
 			}
 		}

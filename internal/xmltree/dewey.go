@@ -145,14 +145,17 @@ func (d Dewey) Child(ordinal uint32) Dewey {
 // ancestor-or-self relation, which makes keys suitable for map indexing
 // and sorted storage.
 func (d Dewey) Key() string {
-	b := make([]byte, 4*len(d))
-	for i, c := range d {
-		b[4*i] = byte(c >> 24)
-		b[4*i+1] = byte(c >> 16)
-		b[4*i+2] = byte(c >> 8)
-		b[4*i+3] = byte(c)
+	var buf [64]byte // depth ≤ 16 encodes without a heap buffer
+	return string(d.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the Key encoding of d to dst and returns the
+// extended slice, so hot paths can build keys in a reused buffer.
+func (d Dewey) AppendKey(dst []byte) []byte {
+	for _, c := range d {
+		dst = append(dst, byte(c>>24), byte(c>>16), byte(c>>8), byte(c))
 	}
-	return string(b)
+	return dst
 }
 
 // DeweyFromKey decodes a key produced by Key.

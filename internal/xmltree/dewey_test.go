@@ -118,6 +118,19 @@ func TestDeweyKeyRoundTrip(t *testing.T) {
 	}
 }
 
+// AppendKey extends its buffer with exactly Key's bytes, at any depth
+// (Key's stack buffer covers 16 components; deeper codes spill).
+func TestDeweyAppendKeyMatchesKey(t *testing.T) {
+	f := func(raw []uint32, prefix []byte) bool {
+		d := Dewey(raw)
+		got := d.AppendKey(append([]byte(nil), prefix...))
+		return string(got) == string(prefix)+d.Key() && len(d.Key()) == 4*len(d)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: lexicographic order on Key() equals document order from
 // Compare().
 func TestDeweyKeyOrderMatchesCompare(t *testing.T) {
