@@ -1,9 +1,10 @@
-.PHONY: check build fmt vet test race bench bench-smoke bench-module bench-json bench-gate fuzz-smoke snapshot-smoke mmap-smoke cluster-smoke replica-smoke shed-smoke trace-smoke ingest-smoke
+.PHONY: check build fmt vet test race bench bench-module fuzz-smoke snapshot-smoke mmap-smoke cluster-smoke replica-smoke shed-smoke trace-smoke ingest-smoke
 
 # The full pre-merge gate: gofmt cleanliness, build everything, vet,
 # run the test suite under the race detector (the parallel scan and
-# copy-on-write Refresh are exercised concurrently in the tests), and
-# give the binary-format fuzz targets a short bounded run.
+# fastss.Clone, the copy-on-write step of slca's Refresh, are exercised
+# concurrently in the tests), and give the binary-format fuzz targets a
+# short bounded run.
 check: fmt build vet race fuzz-smoke
 
 build:
@@ -23,14 +24,11 @@ test:
 race:
 	go test -race ./...
 
+# The repository's benchmark (BENCHMARK.json): six workloads, every
+# answer checked; `bash bench/run.sh -compare OLD.json NEW.json`
+# compares two runs. See bench/README.md.
 bench:
-	go test -bench=. -benchmem
-
-# One pass over the hot-path benchmark — enough to catch an
-# accidentally-instrumented fast path (the no-sink overhead budget is
-# ≤2% on BenchmarkSuggest) without the cost of a full bench run.
-bench-smoke:
-	go test -run='^$$' -bench='^BenchmarkSuggest$$' -benchtime=1x .
+	bash bench/run.sh
 
 # The bench/ module (the repository's benchmark, BENCHMARK.json) is not
 # part of ./..., so an internal signature it compiles against can break
@@ -71,36 +69,6 @@ snapshot-smoke:
 	q=$$(head -1 "$$tmp/corpus.xml.queries.tsv" | cut -f2) && \
 	go run ./cmd/xclean -index "$$tmp/corpus.idx" "$$q" && \
 	echo "snapshot-smoke: OK"
-
-# Machine-readable perf snapshot: run the latency-bearing experiments
-# at a small corpus size and append a BENCH_<date>.json trajectory
-# file (median/p95 latency, throughput per experiment).
-bench-json:
-	go run ./cmd/xbench -exp table6,workers -dblp 5000 -wiki 500 -queries 20 \
-		-json BENCH_$$(date +%Y%m%d).json
-
-# Perf regression gate: rerun the latency-bearing experiments and
-# compare against the newest committed BENCH_*.json checkpoint via
-# benchgate. The corpus parameters must match the checkpoint's (same
-# -dblp/-wiki/-queries/-seed) or mean latencies are not comparable.
-# Three runs are taken and each record is scored on its best one —
-# load noise is one-sided, so min-of-N strips contention spikes.
-# TOLERANCE stays loose (+100%) because the checkpoint was recorded on
-# different hardware than CI: the gate catches order-of-magnitude
-# mistakes (an accidentally quadratic path, a lost index), not
-# single-digit drift — interleaved A/B go-bench runs and the committed
-# checkpoints are the precise record.
-TOLERANCE ?= 1.0
-BENCH_GATE_RUNS ?= 3
-bench-gate:
-	@base=$$(ls BENCH_*.json | sort -V | tail -1) && \
-	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	echo "bench-gate: baseline $$base ($(BENCH_GATE_RUNS) candidate runs)" && \
-	for i in $$(seq $(BENCH_GATE_RUNS)); do \
-		go run ./cmd/xbench -exp table6,workers -dblp 5000 -wiki 500 -queries 20 \
-			-json "$$tmp/bench$$i.json" >/dev/null || exit 1; done && \
-	go run ./cmd/benchgate -base "$$base" -new "$$tmp/bench1.json" -tolerance $(TOLERANCE) \
-		$$(for i in $$(seq 2 $(BENCH_GATE_RUNS)); do printf '%s ' "$$tmp/bench$$i.json"; done)
 
 # End-to-end scatter-gather smoke test: 2 shard servers + 1
 # coordinator on loopback; a healthy query must be complete, and a

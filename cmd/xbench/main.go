@@ -11,7 +11,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -30,57 +29,6 @@ import (
 // engine the experiments build (0 = GOMAXPROCS, 1 = sequential).
 var workers int
 
-// PerfRecord is one experiment measurement in the -json output: what a
-// perf-trajectory file needs to plot quality and latency over time.
-type PerfRecord struct {
-	Experiment string  `json:"experiment"`
-	System     string  `json:"system"`
-	Set        string  `json:"set,omitempty"`
-	Queries    int     `json:"queries"`
-	MRR        float64 `json:"mrr"`
-	MeanNs     int64   `json:"meanNs"`
-	MedianNs   int64   `json:"medianNs"`
-	P95Ns      int64   `json:"p95Ns"`
-	// ThroughputQPS is single-client throughput (1/mean latency).
-	ThroughputQPS float64 `json:"throughputQps"`
-}
-
-// BenchJSON is the top-level -json document.
-type BenchJSON struct {
-	Timestamp  string       `json:"timestamp"`
-	GoMaxProcs int          `json:"gomaxprocs"`
-	Workers    int          `json:"workers"`
-	Seed       int64        `json:"seed"`
-	DBLP       int          `json:"dblpArticles"`
-	Wiki       int          `json:"wikiArticles"`
-	QuerySize  int          `json:"queriesPerSet"`
-	Records    []PerfRecord `json:"records"`
-}
-
-// perfRecords accumulates the machine-readable side of every
-// experiment that measures latency; written out by -json.
-var perfRecords []PerfRecord
-
-// record captures one eval result for the -json output (no-op cost
-// when -json is unset: the slice just grows and is dropped).
-func record(experiment, system, set string, res eval.Result) {
-	qps := 0.0
-	if res.AvgTime > 0 {
-		qps = float64(time.Second) / float64(res.AvgTime)
-	}
-	perfRecords = append(perfRecords, PerfRecord{
-		Experiment:    experiment,
-		System:        system,
-		Set:           set,
-		Queries:       res.Latency.Count,
-		MRR:           res.MRR,
-		MeanNs:        res.Latency.Mean.Nanoseconds(),
-		MedianNs:      res.Latency.P50.Nanoseconds(),
-		P95Ns:         res.Latency.P95.Nanoseconds(),
-		ThroughputQPS: qps,
-	})
-}
-
 // xc builds an XClean engine for a set, applying the experiment's mod
 // and then the global -workers flag.
 func xc(w *eval.Workbench, set string, mod func(*core.Config)) *core.Engine {
@@ -94,7 +42,7 @@ func xc(w *eval.Workbench, set string, mod func(*core.Config)) *core.Engine {
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1|table2|table3|table4|table5|table6|fig1|fig3|fig4|ablations|extensions|workers|all")
+		exp     = flag.String("exp", "all", "experiment: table1|table2|table3|table4|table5|table6|fig1|fig3|fig4|ablations|extensions|all")
 		seed    = flag.Int64("seed", 42, "generation seed")
 		dblp    = flag.Int("dblp", 20000, "articles in the DBLP-like corpus")
 		wiki    = flag.Int("wiki", 2000, "articles in the INEX-like corpus")
@@ -102,10 +50,14 @@ func main() {
 		nw      = flag.Int("workers", 0, "goroutines per suggestion call (0 = GOMAXPROCS, 1 = sequential)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the experiments to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		jsonOut = flag.String("json", "", "write machine-readable per-experiment results (median/p95 latency, throughput) to this file")
 	)
 	flag.Parse()
 	workers = *nw
+	runs, err := resolve(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -148,62 +100,47 @@ func main() {
 	})
 	fmt.Fprintf(os.Stderr, "workbench ready in %v\n\n", time.Since(start).Round(time.Millisecond))
 
-	runners := map[string]func(*eval.Workbench){
-		"table1":     table1,
-		"table2":     table2,
-		"table3":     table3,
-		"table4":     table4,
-		"table5":     table5,
-		"table6":     table6,
-		"fig1":       fig1,
-		"fig3":       fig3,
-		"fig4":       fig4,
-		"ablations":  ablations,
-		"extensions": extensions,
-		"workers":    workersSweep,
-	}
-	names := strings.Split(*exp, ",")
-	if *exp == "all" {
-		names = []string{"table1", "table2", "fig1", "table3", "fig3", "fig4", "table4", "table5", "table6", "ablations", "extensions", "workers"}
-	}
-	for _, name := range names {
-		run, ok := runners[strings.TrimSpace(name)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-			os.Exit(2)
-		}
+	for _, run := range runs {
 		run(w)
 		fmt.Println()
 	}
+}
 
-	if *jsonOut != "" {
-		doc := BenchJSON{
-			Timestamp:  time.Now().UTC().Format(time.RFC3339),
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-			Workers:    workers,
-			Seed:       *seed,
-			DBLP:       *dblp,
-			Wiki:       *wiki,
-			QuerySize:  *queries,
-			Records:    perfRecords,
-		}
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "results written to %s (%d records)\n", *jsonOut, len(perfRecords))
+// runners maps each -exp name to its experiment.
+var runners = map[string]func(*eval.Workbench){
+	"table1":     table1,
+	"table2":     table2,
+	"table3":     table3,
+	"table4":     table4,
+	"table5":     table5,
+	"table6":     table6,
+	"fig1":       fig1,
+	"fig3":       fig3,
+	"fig4":       fig4,
+	"ablations":  ablations,
+	"extensions": extensions,
+}
+
+// allExperiments is the order -exp all runs them in.
+var allExperiments = []string{"table1", "table2", "fig1", "table3", "fig3", "fig4", "table4", "table5", "table6", "ablations", "extensions"}
+
+// resolve turns the -exp comma list into runners before any work is
+// done, so an unknown name fails without building the workbench or
+// running the experiments listed before it.
+func resolve(exp string) ([]func(*eval.Workbench), error) {
+	names := strings.Split(exp, ",")
+	if exp == "all" {
+		names = allExperiments
 	}
+	runs := make([]func(*eval.Workbench), len(names))
+	for i, name := range names {
+		run, ok := runners[strings.TrimSpace(name)]
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q", name)
+		}
+		runs[i] = run
+	}
+	return runs, nil
 }
 
 func header(title string) {
@@ -318,8 +255,6 @@ func fig3(w *eval.Workbench) {
 		p := eval.Run(w.PY08(set, nil), qs, 10, opts)
 		s1 := eval.Run(se1, qs, 1, opts)
 		s2 := eval.Run(se2, qs, 1, opts)
-		record("fig3", "xclean", set, x)
-		record("fig3", "py08", set, p)
 		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%.2f\t%.2f\n", set, x.MRR, p.MRR, s1.MRR, s2.MRR)
 	}
 	tw.Flush()
@@ -437,8 +372,6 @@ func table6(w *eval.Workbench) {
 		qs := w.Sets[set]
 		x := eval.Run(xc(w, set, nil), qs, 10, opts)
 		p := eval.Run(w.PY08(set, nil), qs, 10, opts)
-		record("table6", "xclean", set, x)
-		record("table6", "py08", set, p)
 		ratio := float64(p.AvgTime) / float64(x.AvgTime)
 		fmt.Fprintf(tw, "%s\t%v\t%v\t%v\t%v\t%.1fx\n", set,
 			x.AvgTime.Round(time.Microsecond), x.Latency.P95.Round(time.Microsecond),
@@ -471,7 +404,6 @@ func ablations(w *eval.Workbench) {
 	fmt.Fprintln(tw, "Variant\tMRR\tavg time")
 	for _, r := range rows {
 		res := eval.Run(r.s, qs, 10, opts)
-		record("ablations", r.name, set, res)
 		fmt.Fprintf(tw, "%s\t%.2f\t%v\n", r.name, res.MRR, res.AvgTime.Round(time.Microsecond))
 	}
 	tw.Flush()
@@ -539,38 +471,4 @@ func extensions(w *eval.Workbench) {
 	fmt.Fprintf(tw, "compressed\t%.2f\t%v\t%d\n", comp.MRR,
 		comp.AvgTime.Round(time.Microsecond), w.CompactIndexFor(set).PostingsBytes())
 	tw.Flush()
-}
-
-// workersSweep measures the parallel anchor-subtree scan: per-query
-// latency and MRR at increasing worker counts over DBLP-RAND. MRR must
-// not move (the differential tests pin result equality); the time
-// columns show what sharding Algorithm 1 buys on this machine.
-func workersSweep(w *eval.Workbench) {
-	header("Workers sweep: latency vs Config.Workers (DBLP-RAND)")
-	opts := tokenizer.Options{}
-	set := eval.SetDBLPRand
-	qs := w.Sets[set]
-	counts := []int{1, 2, 4}
-	if n := runtime.GOMAXPROCS(0); n > counts[len(counts)-1] {
-		counts = append(counts, n)
-	}
-	tw := tab()
-	fmt.Fprintln(tw, "Workers\tMRR\tmean time\tp95\tspeedup")
-	var base time.Duration
-	for _, n := range counts {
-		nw := n
-		e := w.XClean(set, func(c *core.Config) { c.Workers = nw })
-		res := eval.Run(e, qs, 10, opts)
-		record("workers", fmt.Sprintf("xclean-w%d", nw), set, res)
-		if nw == 1 {
-			base = res.AvgTime
-		}
-		fmt.Fprintf(tw, "%d\t%.2f\t%v\t%v\t%.2fx\n", nw, res.MRR,
-			res.AvgTime.Round(time.Microsecond), res.Latency.P95.Round(time.Microsecond),
-			float64(base)/float64(res.AvgTime))
-	}
-	tw.Flush()
-	fmt.Printf("(GOMAXPROCS=%d; single-keyword queries see little gain — the scan\n"+
-		" is sharded per query, so wins come from multi-keyword candidates)\n",
-		runtime.GOMAXPROCS(0))
 }

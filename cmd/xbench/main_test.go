@@ -44,3 +44,21 @@ func TestXCHelper(t *testing.T) {
 		t.Fatal("xc with nil mod returned nil engine")
 	}
 }
+
+// TestResolve pins that -exp is checked before any work: an unknown
+// name anywhere in the list fails resolution as a whole, so main exits
+// before building the workbench and before running the names that
+// precede it.
+func TestResolve(t *testing.T) {
+	for _, exp := range []string{"bogus", "table1,bogus"} {
+		if runs, err := resolve(exp); err == nil || runs != nil {
+			t.Errorf("resolve(%q) = %d runners, err %v; want none and an error", exp, len(runs), err)
+		}
+	}
+	if runs, err := resolve("table1, table6"); err != nil || len(runs) != 2 {
+		t.Errorf("resolve(\"table1, table6\") = %d runners, err %v; want 2", len(runs), err)
+	}
+	if runs, err := resolve("all"); err != nil || len(runs) != len(runners) {
+		t.Errorf("resolve(\"all\") = %d runners, err %v; want every one of %d", len(runs), err, len(runners))
+	}
+}

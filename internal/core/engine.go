@@ -253,8 +253,7 @@ type Engine struct {
 	deadNorm  map[xmltree.PathID]float64
 
 	// sink receives aggregate metrics of every call; nil disables all
-	// instrumentation (one branch per call site). Set via SetSink;
-	// carried across Refresh.
+	// instrumentation (one branch per call site). Set via SetSink.
 	sink *obs.Sink
 }
 
@@ -371,36 +370,11 @@ func NewEngineWithFastSS(ix invindex.Source, fss *fastss.Index, cfg Config) *Eng
 	return e
 }
 
-// Refresh rebuilds the structures derived from the index after an
-// incremental index mutation (invindex.Index.AddDocument): the given
-// words — typically every token of the added document; known words are
-// ignored — join the variant index, and prior caches, the phonetic
-// index, and the language models are rebuilt. Queries go to the
-// returned engine.
-//
-// Refresh is copy-on-write: when words are added, the shared variant
-// index is cloned before being extended, so the receiver and any
-// sibling engines sharing the same FastSS index may keep serving
-// Suggest traffic concurrently with the Refresh.
-func (e *Engine) Refresh(newWords []string) *Engine {
-	fss := e.fastss()
-	if len(newWords) > 0 {
-		fss = fss.Clone()
-		for _, w := range newWords {
-			fss.Add(w)
-		}
-	}
-	ne := NewEngineWithFastSS(e.ix, fss, e.cfg)
-	ne.sink = e.sink
-	return ne
-}
-
 // SetSink attaches a metrics sink: every subsequent call records its
 // latency, per-stage timing, and work counters there. A nil sink
 // disables instrumentation entirely — the hot path then pays only a
-// nil check per call. Engines produced by Refresh inherit the sink.
-// SetSink must not race with in-flight Suggest calls (attach before
-// serving, like the other configuration).
+// nil check per call. SetSink must not race with in-flight Suggest
+// calls (attach before serving, like the other configuration).
 func (e *Engine) SetSink(s *obs.Sink) { e.sink = s }
 
 // Sink returns the attached metrics sink (nil when disabled).

@@ -149,16 +149,6 @@ func TestSinkCountersMatchStats(t *testing.T) {
 	}
 }
 
-func TestSinkSurvivesRefresh(t *testing.T) {
-	e := explainEngine(Config{})
-	sink := obs.NewSink()
-	e.SetSink(sink)
-	ne := e.Refresh(nil)
-	if ne.Sink() != sink {
-		t.Error("sink dropped across Refresh")
-	}
-}
-
 func TestSinkResultsIdentical(t *testing.T) {
 	plain := explainEngine(Config{})
 	observed := explainEngine(Config{})

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
-	"sync"
 	"testing"
 
 	"xclean/internal/invindex"
@@ -166,74 +164,5 @@ func TestParallelSpacesMatchesSequential(t *testing.T) {
 		want := seq.SuggestWithSpaces(q)
 		got := par.SuggestWithSpaces(q)
 		sameSuggestions(t, fmt.Sprintf("spaces query=%q", q), got, want)
-	}
-}
-
-// Refresh must be copy-on-write: engines created before a Refresh keep
-// serving identical answers while Refresh extends the (cloned) variant
-// index. Before the fix, Refresh called Add on the shared FastSS index
-// and this test failed under -race.
-func TestConcurrentSuggestAndRefresh(t *testing.T) {
-	e := paperEngine(Config{})
-	want := e.Suggest("tree icdt")
-
-	stop := make(chan struct{})
-	errs := make(chan string, 16)
-	var wg, ready sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		ready.Add(1)
-		go func() {
-			defer wg.Done()
-			ready.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if got := e.Suggest("tree icdt"); !reflect.DeepEqual(got, want) {
-					select {
-					case errs <- "suggest diverged during concurrent Refresh":
-					default:
-					}
-					return
-				}
-			}
-		}()
-	}
-	// Don't start refreshing until every Suggest goroutine is live, so
-	// the reads and the (pre-fix) writes genuinely overlap.
-	ready.Wait()
-
-	var last *Engine
-	for i := 0; i < 2000; i++ {
-		// Each Refresh adds a fresh word, forcing a write into the
-		// variant index — shared with the Suggest goroutines above
-		// unless Refresh clones first.
-		last = e.Refresh([]string{fmt.Sprintf("w%04d", i)})
-	}
-	close(stop)
-	wg.Wait()
-	close(errs)
-	for msg := range errs {
-		t.Fatal(msg)
-	}
-
-	if got := last.Suggest("tree icdt"); !reflect.DeepEqual(got, want) {
-		t.Errorf("refreshed engine diverged:\n got=%v\nwant=%v", got, want)
-	}
-}
-
-// A Refresh must leave the original engine's variant index untouched.
-func TestRefreshDoesNotMutateOriginal(t *testing.T) {
-	e := paperEngine(Config{})
-	before := e.fss.Size()
-	e2 := e.Refresh([]string{"treet", "icdx"})
-	if got := e.fss.Size(); got != before {
-		t.Errorf("original variant index grew: %d -> %d", before, got)
-	}
-	if got := e2.fss.Size(); got != before+2 {
-		t.Errorf("refreshed variant index size=%d want %d", got, before+2)
 	}
 }

@@ -6,29 +6,38 @@ import (
 	"testing"
 )
 
+// The original must not see the clone's word, whether or not it had
+// answered (and memoized) a query before the clone was taken: a cold
+// original's empty Search memo survives Add, so a clone sharing it
+// would leak its answers back.
 func TestCloneCopyOnWrite(t *testing.T) {
-	ix := Build([]string{"tree", "trie", "clean"}, Config{MaxErrors: 1})
-	before := ix.Search("tree")
-
-	c := ix.Clone()
-	c.Add("trees")
-	if ix.Size() != 3 {
-		t.Errorf("original grew to %d words", ix.Size())
-	}
-	if c.Size() != 4 {
-		t.Errorf("clone size=%d want 4", c.Size())
-	}
-	if got := ix.Search("tree"); !reflect.DeepEqual(got, before) {
-		t.Errorf("original results changed after clone.Add:\n got=%v\nwant=%v", got, before)
-	}
-	found := false
-	for _, m := range c.Search("tree") {
-		if m.Word == "trees" {
-			found = true
+	for _, warm := range []bool{true, false} {
+		ix := Build([]string{"tree", "trie", "clean"}, Config{MaxErrors: 1})
+		want := BruteForce([]string{"tree", "trie", "clean"}, "tree", 1)
+		if warm {
+			ix.Search("tree")
 		}
-	}
-	if !found {
-		t.Error("clone does not find its own added word")
+
+		c := ix.Clone()
+		c.Add("trees")
+		found := false
+		for _, m := range c.Search("tree") {
+			if m.Word == "trees" {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("warm=%v: clone does not find its own added word", warm)
+		}
+		if ix.Size() != 3 {
+			t.Errorf("warm=%v: original grew to %d words", warm, ix.Size())
+		}
+		if c.Size() != 4 {
+			t.Errorf("warm=%v: clone size=%d want 4", warm, c.Size())
+		}
+		if got := ix.Search("tree"); !reflect.DeepEqual(got, want) {
+			t.Errorf("warm=%v: original results changed after clone.Add:\n got=%v\nwant=%v", warm, got, want)
+		}
 	}
 }
 

@@ -50,7 +50,7 @@ type bucketKey struct {
 // can be added at any time (incremental vocabulary growth); Add is not
 // safe to call concurrently with Search. To grow the vocabulary while
 // the index keeps serving Search traffic, extend a Clone and swap it
-// in (the copy-on-write contract engine Refresh relies on).
+// in (the copy-on-write contract slca.Engine.Refresh relies on).
 type Index struct {
 	cfg     Config
 	words   []string
@@ -103,9 +103,10 @@ func Build(words []string, cfg Config) *Index {
 
 // Clone returns a copy that can be extended with Add without mutating
 // any state visible to the receiver — the copy-on-write step of
-// engine Refresh. The maps are copied; the word and bucket slices are
-// shared but capped at their current length, so an Add on the clone
-// always reallocates instead of writing into shared backing arrays.
+// slca.Engine.Refresh. The maps are copied; the word and bucket slices
+// are shared but capped at their current length, so an Add on the
+// clone always reallocates instead of writing into shared backing
+// arrays.
 // Cloning costs O(vocabulary + buckets) map copies, far cheaper than
 // rebuilding the deletion neighborhoods from scratch.
 func (ix *Index) Clone() *Index {

@@ -7,9 +7,10 @@
 //
 // Everything here is always compiled into the engine; the engine
 // guards every instrumentation site with a nil-sink check, so a build
-// with no sink attached pays only an untaken branch (the ≤2% budget on
-// BenchmarkSuggest is enforced by `make bench-smoke`). All types are
-// safe for concurrent use: writers use atomics only, and readers
+// with no sink attached pays only an untaken branch (budget: ≤2% on
+// BenchmarkSuggest; no gate enforces it, the BenchmarkSuggest /
+// BenchmarkSuggestObserved pair run A/B by hand shows the cost). All
+// types are safe for concurrent use: writers use atomics only, and readers
 // (Snapshot, WritePrometheus) observe a possibly-torn but monotone
 // view, the usual contract of a Prometheus scrape.
 package obs
