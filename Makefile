@@ -40,7 +40,8 @@ bench-module:
 	bash bench/run.sh -smoke
 
 # Bounded fuzz pass over the untrusted-bytes decoders: the snapshot
-# split-posting-list decoder and the whole snapfile open path.
+# split-posting-list decoder, the whole snapfile open path, and the
+# coordinator's shard-response decoder.
 # Truncation, flipped bytes, and oversized varints must error — never
 # panic, never allocate proportionally to an unvalidated count.
 # -fuzzminimizetime is capped because the default 60s-per-input
@@ -51,6 +52,8 @@ fuzz-smoke:
 		-fuzzminimizetime=5x ./internal/postings
 	go test -run='^$$' -fuzz='^FuzzOpen$$' -fuzztime=$(FUZZTIME) \
 		-fuzzminimizetime=5x ./internal/snapfile
+	go test -run='^$$' -fuzz='^FuzzDecodeBatchResponse$$' -fuzztime=$(FUZZTIME) \
+		-fuzzminimizetime=5x ./internal/cluster
 
 # End-to-end mmap warm-start smoke test: build a corpus, flush it to a
 # .seg snapshot, reopen via mmap, and assert open latency ≪ cold build

@@ -8,14 +8,14 @@ import (
 	"xclean/internal/obs"
 )
 
-// The shard wire envelope: POST /shard/suggest carries one or many
-// queries in one round-trip per shard. A single query (Suggest) is a
-// batch of one; a coordinator serving bulk traffic (prefetchers,
-// offline rescoring, as-you-type bursts) pays the connection, header,
-// and envelope cost once per shard instead of once per query. Every
-// body rides the same leg lifecycle — replica routing, hedged retry to
-// a different replica, attempt classification — with the whole body
-// as the unit of hedging.
+// The shard request and response: POST /shard/suggest carries one or
+// many queries in one round-trip per shard, in the binary form of
+// wire.go. A single query (Suggest) is a batch of one; a coordinator
+// serving bulk traffic (prefetchers, offline rescoring, as-you-type
+// bursts) pays the connection, header, and framing cost once per shard
+// instead of once per query. Every body rides the same leg lifecycle —
+// replica routing, hedged retry to a different replica, attempt
+// classification — with the whole body as the unit of hedging.
 
 // MaxBatchQueries bounds one batched request (shard servers reject
 // larger batches; the coordinator-side HTTP handler enforces it too).
@@ -23,36 +23,39 @@ const MaxBatchQueries = 256
 
 // BatchRequest is the body of POST /shard/suggest.
 type BatchRequest struct {
-	Version int    `json:"version"`
-	Corpus  string `json:"corpus,omitempty"`
+	// Version is the wire version the body spoke; encoders always
+	// write WireVersion.
+	Version int
+	Corpus  string
 	// RequestID correlates the shard's logs with the coordinator's.
-	RequestID string   `json:"requestId,omitempty"`
-	Queries   []string `json:"queries"`
+	RequestID string
+	Queries   []string
 }
 
 // BatchEntry is one query's partial result within a batched shard
 // response. Error, when non-empty, marks this query failed on the
-// shard (the others may still be good); the coordinator degrades just
-// that query to partial.
+// shard (the others may still be good) and the entry carries no
+// partials; the coordinator degrades just that query to partial.
 type BatchEntry struct {
-	Query string `json:"query"`
-	Error string `json:"error,omitempty"`
+	Query string
+	Error string
 	core.PartialSet
 }
 
 // BatchResponse is the body a shard returns from POST /shard/suggest:
 // one entry per request query, in request order.
 type BatchResponse struct {
-	Version    int     `json:"version"`
-	Corpus     string  `json:"corpus,omitempty"`
-	TookMillis float64 `json:"tookMillis"`
+	// Version is as for BatchRequest.
+	Version    int
+	Corpus     string
+	TookMillis float64
 	// TraceSpan is the shard's span subtree (its server span parenting
 	// every entry's engine stage spans) when the request carried a
 	// sampled traceparent; the coordinator stitches it under the
-	// attempt span whose ID it parents to. Absent on untraced requests
-	// — the wire cost of tracing is zero when off.
-	TraceSpan *obs.SpanNode `json:"traceSpan,omitempty"`
-	Results   []BatchEntry  `json:"results"`
+	// attempt span whose ID it parents to. Nil on untraced requests —
+	// the wire cost of tracing is one zero byte when off.
+	TraceSpan *obs.SpanNode
+	Results   []BatchEntry
 }
 
 // BatchQueryAnswer is one query's merged outcome within a coordinated

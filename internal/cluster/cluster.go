@@ -7,7 +7,9 @@
 // holds the posting lists and entity tables of a contiguous range of
 // top-level entity roots plus every collection-global statistic, and
 // answers POST /shard/suggest with its γ-bounded partial accumulator
-// table (core.PartialSet) per query in a versioned JSON envelope. The
+// table (core.PartialSet) per query in a versioned binary body (see
+// wire.go: variant and path strings once per entry, candidates as
+// indexes into them, sums as exact float64 bits). The
 // coordinator adds per-candidate partial sums and per-type entity
 // counts across shards (Eq. 8 of the paper is additive over disjoint
 // entities), recomputes error-model weights once from the union of the
@@ -28,14 +30,14 @@
 //
 // There is one shard transport: a single query (Suggest) is a batch of
 // one, and SuggestBatch ships many queries per shard round-trip so
-// high-fan-out coordinators amortize connection and envelope cost —
-// see batch.go for the envelope.
+// high-fan-out coordinators amortize connection and framing cost —
+// see batch.go for the request and response, wire.go for their
+// encoding.
 package cluster
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -49,11 +51,12 @@ import (
 	"xclean/internal/obs"
 )
 
-// WireVersion is the version of the /shard/suggest JSON envelope
-// (BatchRequest/BatchResponse). Both ends reject a body speaking a
-// different version instead of silently mis-merging or dropping
-// fields.
-const WireVersion = 2
+// WireVersion is the version of the /shard/suggest wire
+// (BatchRequest/BatchResponse, encoded as wire.go describes). Both ends
+// reject a body speaking a different version — including the JSON
+// envelope of version 2 and earlier, whose version they read and name —
+// instead of silently mis-merging or dropping fields.
+const WireVersion = 3
 
 // Config configures a Coordinator.
 type Config struct {
@@ -303,15 +306,13 @@ func (c *Coordinator) fanOut(ctx context.Context, queries []string, corpus, requ
 	if corpus == "" {
 		corpus = c.cfg.Corpus
 	}
-	body, err := json.Marshal(BatchRequest{
-		Version:   WireVersion,
+	// The body is not pooled: an abandoned attempt's transport may still
+	// be reading it after the fan-out returns.
+	body := AppendBatchRequest(nil, &BatchRequest{
 		Corpus:    corpus,
 		RequestID: requestID,
 		Queries:   queries,
 	})
-	if err != nil {
-		return nil, nil, err
-	}
 	call := &shardCall{queries: queries, body: body, requestID: requestID}
 	budget := c.timeout()
 	if dl, ok := ctx.Deadline(); ok {
@@ -645,7 +646,7 @@ func (c *Coordinator) fetch(ctx context.Context, rep *replicaState, call *shardC
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", ContentType)
 	if call.requestID != "" {
 		req.Header.Set("X-Request-Id", call.requestID)
 	}
@@ -662,13 +663,23 @@ func (c *Coordinator) fetch(ctx context.Context, rep *replicaState, call *shardC
 		return nil, fmt.Errorf("replica %s: HTTP %d: %s", rep.Name, resp.StatusCode,
 			strings.TrimSpace(string(b)))
 	}
-	var br BatchResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&br); err != nil {
+	// The body is read into a pooled buffer and copied into one string,
+	// of which every decoded word and path is a substring.
+	buf := GetBuffer()
+	if err := ReadBody(resp.Body, buf, resp.ContentLength, maxResponseBody); err != nil {
+		PutBuffer(buf)
 		return nil, fmt.Errorf("replica %s: bad response: %w", rep.Name, err)
 	}
-	if br.Version != WireVersion {
-		return nil, fmt.Errorf("replica %s: wire version %d (coordinator speaks %d)",
-			rep.Name, br.Version, WireVersion)
+	body := string(*buf)
+	PutBuffer(buf)
+	br, err := DecodeBatchResponse(body)
+	if err != nil {
+		var ve *VersionError
+		if errors.As(err, &ve) {
+			return nil, fmt.Errorf("replica %s: wire version %d (coordinator speaks %d)",
+				rep.Name, ve.Got, WireVersion)
+		}
+		return nil, fmt.Errorf("replica %s: bad response: %w", rep.Name, err)
 	}
 	if len(br.Results) != len(call.queries) {
 		return nil, fmt.Errorf("replica %s: %d results for %d queries",
@@ -687,8 +698,11 @@ func (c *Coordinator) fetch(ctx context.Context, rep *replicaState, call *shardC
 	if failed == len(br.Results) {
 		return nil, fmt.Errorf("replica %s: %s", rep.Name, br.Results[0].Error)
 	}
-	return &br, nil
+	return br, nil
 }
+
+// maxResponseBody caps one shard response.
+const maxResponseBody = 64 << 20
 
 // ShardHealth is one replica's health-probe outcome.
 type ShardHealth struct {

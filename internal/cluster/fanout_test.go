@@ -5,7 +5,6 @@ package cluster_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -249,7 +248,7 @@ func TestReplicaFailover(t *testing.T) {
 			for i := range want {
 				g, w := res.Suggestions[i], want[i]
 				if g.Query() != w.Query ||
-					math.Abs(g.Score-w.Score) > 1e-12*math.Max(1, math.Abs(w.Score)) {
+					math.Abs(g.Score-w.Score) > 1e-12*math.Max(math.Abs(w.Score), 1e-300) {
 					t.Fatalf("%s %q rank %d: %+v vs %+v", phase, q, i, g, w)
 				}
 			}
@@ -304,7 +303,7 @@ func TestSuggestBatchParity(t *testing.T) {
 				g.Entities != w.Entities || g.EditDistance != w.EditDistance {
 				t.Fatalf("%q rank %d:\n got=%+v\nwant=%+v", q, i, g, w)
 			}
-			if math.Abs(g.Score-w.Score) > 1e-12*math.Max(1, math.Abs(w.Score)) {
+			if math.Abs(g.Score-w.Score) > 1e-12*math.Max(math.Abs(w.Score), 1e-300) {
 				t.Fatalf("%q rank %d: score %g vs %g", q, i, g.Score, w.Score)
 			}
 		}
@@ -336,10 +335,10 @@ func TestSuggestBatchParity(t *testing.T) {
 	}
 }
 
-// corruptFirstServer wraps inner: the first shard response is rewritten
-// by mangle before it reaches the coordinator; every later response is
-// served as is.
-func corruptFirstServer(t *testing.T, inner http.Handler, mangle func(*cluster.BatchResponse)) *httptest.Server {
+// corruptFirstServer wraps inner: the first shard response body is
+// rewritten by mangle before it reaches the coordinator; every later
+// response is served as is.
+func corruptFirstServer(t *testing.T, inner http.Handler, mangle func([]byte) []byte) *httptest.Server {
 	t.Helper()
 	var first atomic.Bool
 	first.Store(true)
@@ -350,40 +349,64 @@ func corruptFirstServer(t *testing.T, inner http.Handler, mangle func(*cluster.B
 		}
 		rec := httptest.NewRecorder()
 		inner.ServeHTTP(rec, r)
-		var br cluster.BatchResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil {
-			t.Errorf("shard body: %v", err)
-		}
-		mangle(&br)
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(br)
+		w.Header().Set("Content-Type", cluster.ContentType)
+		w.Write(mangle(rec.Body.Bytes()))
 	}))
 	t.Cleanup(srv.Close)
 	return srv
 }
 
+// reencoded decodes a shard response body, edits it, and encodes it
+// again.
+func reencoded(t *testing.T, edit func(*cluster.BatchResponse)) func([]byte) []byte {
+	return func(body []byte) []byte {
+		br, err := cluster.DecodeBatchResponse(string(body))
+		if err != nil {
+			t.Errorf("shard body: %v", err)
+			return body
+		}
+		edit(br)
+		out, err := cluster.AppendBatchResponse(nil, br)
+		if err != nil {
+			t.Errorf("re-encode: %v", err)
+		}
+		return out
+	}
+}
+
 // TestMalformedShardReplyHedges: a shard response whose entries are
-// out of order, or in which every entry failed, fails its attempt; the
-// leg hedges and the answer is the standalone one — never another
-// query's partials merged under the wrong query.
+// out of order, in which every entry failed, that is cut short, or
+// that speaks the version-2 JSON envelope fails its attempt; the leg
+// hedges and the answer is the standalone one — never another query's
+// partials merged under the wrong query.
 func TestMalformedShardReplyHedges(t *testing.T) {
 	f := newFixture(t, 2, cluster.Config{})
 	queries := f.queries[:3]
 	for name, tc := range map[string]struct {
-		mangle  func(*cluster.BatchResponse)
+		mangle  func([]byte) []byte
 		wantErr string
 	}{
 		"reversed": {
-			mangle:  func(br *cluster.BatchResponse) { slices.Reverse(br.Results) },
+			mangle:  reencoded(t, func(br *cluster.BatchResponse) { slices.Reverse(br.Results) }),
 			wantErr: "entry 0 answers",
 		},
 		"every entry failed": {
-			mangle: func(br *cluster.BatchResponse) {
+			mangle: reencoded(t, func(br *cluster.BatchResponse) {
 				for i := range br.Results {
 					br.Results[i].Error = "flush first"
 				}
-			},
+			}),
 			wantErr: "flush first",
+		},
+		"short": {
+			mangle:  func(body []byte) []byte { return body[:len(body)/2] },
+			wantErr: "bad response",
+		},
+		"version 2 JSON": {
+			mangle: func([]byte) []byte {
+				return []byte(`{"version":2,"results":[{"query":"x"}]}`)
+			},
+			wantErr: fmt.Sprintf("wire version 2 (coordinator speaks %d)", cluster.WireVersion),
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -412,7 +435,7 @@ func TestMalformedShardReplyHedges(t *testing.T) {
 				}
 				for i := range want {
 					if got[i].Query() != want[i].Query ||
-						math.Abs(got[i].Score-want[i].Score) > 1e-12*math.Max(1, math.Abs(want[i].Score)) {
+						math.Abs(got[i].Score-want[i].Score) > 1e-12*math.Max(math.Abs(want[i].Score), 1e-300) {
 						t.Fatalf("%q rank %d: %+v vs %+v", q, i, got[i], want[i])
 					}
 				}

@@ -56,19 +56,28 @@ func (m ErrorModel) beta() float64 {
 // large β concentrates the mass on the closest variants.
 func (m ErrorModel) Keyword(raw string, matches []fastss.Match) Keyword {
 	kw := Keyword{Raw: raw, Variants: make([]Variant, len(matches))}
+	for i, match := range matches {
+		kw.Variants[i] = Variant{Word: match.Word, Dist: match.Dist}
+	}
+	m.weigh(kw.Variants)
+	return kw
+}
+
+// weigh sets every variant's normalized weight from its distance, in
+// slice order: z is summed first to last, so callers that present the
+// same (dist, word) order get bit-identical weights.
+func (m ErrorModel) weigh(vs []Variant) {
 	beta := m.beta()
 	var z float64
-	for i, match := range matches {
-		w := math.Exp(-beta * float64(match.Dist))
-		kw.Variants[i] = Variant{Word: match.Word, Dist: match.Dist, Weight: w}
-		z += w
+	for i := range vs {
+		vs[i].Weight = math.Exp(-beta * float64(vs[i].Dist))
+		z += vs[i].Weight
 	}
 	if z > 0 {
-		for i := range kw.Variants {
-			kw.Variants[i].Weight /= z
+		for i := range vs {
+			vs[i].Weight /= z
 		}
 	}
-	return kw
 }
 
 // ExactBeta is a Beta value that makes the model treat a 0-distance

@@ -44,7 +44,7 @@ func sameMerged(t *testing.T, ctx string, ix *invindex.Index, got []MergedSugges
 			g.Witness != w.Witness.String() {
 			t.Fatalf("%s rank %d:\n got=%+v\nwant=%+v", ctx, i, g, w)
 		}
-		if math.Abs(g.Score-w.Score) > 1e-12*math.Max(1, math.Abs(w.Score)) {
+		if math.Abs(g.Score-w.Score) > 1e-12*math.Max(math.Abs(w.Score), 1e-300) {
 			t.Fatalf("%s rank %d: score %g vs %g", ctx, i, g.Score, w.Score)
 		}
 	}

@@ -148,14 +148,26 @@ func (st *Store) keywords(v *View, toks []string) []core.Keyword {
 }
 
 // suggestKeywords scans every segment with the global models and folds
-// the partials. Segments run sequentially (each scan parallelizes
-// internally per the engine's Workers setting); the set order is the
-// ordinal order, reproducing the monolithic summation order.
+// the partials.
 func (st *Store) suggestKeywords(ctx context.Context, v *View, kws []core.Keyword) ([]core.MergedSuggestion, core.Stats, error) {
-	var stats core.Stats
 	if len(kws) == 0 {
-		return nil, stats, nil
+		return nil, core.Stats{}, nil
 	}
+	sets, stats, err := st.partialSets(ctx, v, kws)
+	if err != nil {
+		return nil, stats, err
+	}
+	out, err := core.MergePartials(core.MergeConfig{Beta: st.cfg.Beta, K: st.cfg.K}, sets)
+	return out, stats, err
+}
+
+// partialSets runs the scan half on every segment of the view with the
+// stack-global models. Segments run sequentially (each scan
+// parallelizes internally per the engine's Workers setting); the set
+// order is the ordinal order, reproducing the monolithic summation
+// order.
+func (st *Store) partialSets(ctx context.Context, v *View, kws []core.Keyword) ([]core.PartialSet, core.Stats, error) {
+	var stats core.Stats
 	models := st.buildModels(v, kws)
 	sets := make([]core.PartialSet, 0, len(v.segs)+1)
 	for _, sg := range v.all() {
@@ -174,8 +186,7 @@ func (st *Store) suggestKeywords(ctx context.Context, v *View, kws []core.Keywor
 		addStats(&stats, sstat)
 		sets = append(sets, ps)
 	}
-	out, err := core.MergePartials(core.MergeConfig{Beta: st.cfg.Beta, K: st.cfg.K}, sets)
-	return out, stats, err
+	return sets, stats, nil
 }
 
 // suggestSpaces is the space-error path over the stack: shapes are

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -21,7 +22,18 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
+	return postBody(t, url, "application/json", b)
+}
+
+// postShard POSTs req to a shard in the binary wire form.
+func postShard(t *testing.T, url string, req cluster.BatchRequest) (*http.Response, []byte) {
+	t.Helper()
+	return postBody(t, url, cluster.ContentType, cluster.AppendBatchRequest(nil, &req))
+}
+
+func postBody(t *testing.T, url, contentType string, b []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, contentType, bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,17 +53,17 @@ func TestShardSuggestBatch(t *testing.T) {
 	t.Cleanup(ts.Close)
 	queries := []string{"rose fpga", "power point", "wirless"}
 
-	shardPost := func(queries []string) cluster.BatchResponse {
+	shardPost := func(queries []string) *cluster.BatchResponse {
 		t.Helper()
-		resp, body := postJSON(t, ts.URL+"/shard/suggest", cluster.BatchRequest{
-			Version: cluster.WireVersion,
-			Queries: queries,
-		})
+		resp, body := postShard(t, ts.URL+"/shard/suggest", cluster.BatchRequest{Queries: queries})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%q: status %d: %s", queries, resp.StatusCode, body)
 		}
-		var br cluster.BatchResponse
-		if err := json.Unmarshal(body, &br); err != nil {
+		if ct := resp.Header.Get("Content-Type"); ct != cluster.ContentType {
+			t.Fatalf("Content-Type %q, want %q", ct, cluster.ContentType)
+		}
+		br, err := cluster.DecodeBatchResponse(string(body))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if br.Version != cluster.WireVersion || len(br.Results) != len(queries) {
@@ -67,7 +79,7 @@ func TestShardSuggestBatch(t *testing.T) {
 			t.Fatalf("entry %d = %+v, want clean entry for %q", i, e, q)
 		}
 		single := shardPost([]string{q}).Results[0]
-		if single.Query != q || !reflect.DeepEqual(single.Candidates, e.Candidates) {
+		if single.Query != q || !reflect.DeepEqual(single.PartialSet, e.PartialSet) {
 			t.Fatalf("%q: batch entry %d candidates vs body-of-one %d",
 				q, len(e.Candidates), len(single.Candidates))
 		}
@@ -79,28 +91,36 @@ func TestShardSuggestBatch(t *testing.T) {
 			resp.StatusCode, resp.Header.Get("Allow"), body)
 	}
 
-	// Version and size validation reject bad batches up front.
-	resp, body = postJSON(t, ts.URL+"/shard/suggest", cluster.BatchRequest{
-		Version: cluster.WireVersion + 1,
-		Queries: queries,
+	// Version and size validation reject bad batches up front. A body
+	// in the version-2 JSON envelope is told which versions disagree.
+	resp, body = postJSON(t, ts.URL+"/shard/suggest", map[string]any{
+		"version": 2,
+		"queries": queries,
 	})
+	if want := fmt.Sprintf("wire version 2 (this shard speaks %d)", cluster.WireVersion); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(string(body), want) {
+		t.Fatalf("v2 JSON batch: status %d: %s (want 400 naming %q)", resp.StatusCode, body, want)
+	}
+	future := cluster.AppendBatchRequest(nil, &cluster.BatchRequest{Queries: queries})
+	future[len("XCW")]++ // the version uvarint follows the magic
+	resp, body = postBody(t, ts.URL+"/shard/suggest", cluster.ContentType, future)
+	if want := fmt.Sprintf("wire version %d (this shard speaks %d)", cluster.WireVersion+1, cluster.WireVersion); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(string(body), want) {
+		t.Fatalf("wrong-version batch: status %d: %s (want 400 naming %q)", resp.StatusCode, body, want)
+	}
+	resp, body = postBody(t, ts.URL+"/shard/suggest", cluster.ContentType, future[:2])
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("wrong-version batch: status %d: %s", resp.StatusCode, body)
+		t.Fatalf("short batch: status %d: %s", resp.StatusCode, body)
 	}
 	big := make([]string, cluster.MaxBatchQueries+1)
 	for i := range big {
 		big[i] = "q"
 	}
-	resp, body = postJSON(t, ts.URL+"/shard/suggest", cluster.BatchRequest{
-		Version: cluster.WireVersion,
-		Queries: big,
-	})
+	resp, body = postShard(t, ts.URL+"/shard/suggest", cluster.BatchRequest{Queries: big})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized batch: status %d: %s", resp.StatusCode, body)
 	}
-	resp, body = postJSON(t, ts.URL+"/shard/suggest", cluster.BatchRequest{
-		Version: cluster.WireVersion,
-	})
+	resp, body = postShard(t, ts.URL+"/shard/suggest", cluster.BatchRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch: status %d: %s", resp.StatusCode, body)
 	}
@@ -188,10 +208,7 @@ func TestShardSlowLogPerEntry(t *testing.T) {
 	}).Handler())
 	t.Cleanup(ts.Close)
 	queries := []string{"rose fpga", "power point"}
-	b, err := json.Marshal(cluster.BatchRequest{Version: cluster.WireVersion, Queries: queries})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := cluster.AppendBatchRequest(nil, &cluster.BatchRequest{Queries: queries})
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/shard/suggest", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)

@@ -3,9 +3,12 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strconv"
 	"time"
 
 	"xclean"
@@ -32,7 +35,7 @@ type partialSuggester interface {
 // handleShardSuggest serves POST /shard/suggest: the shard half of the
 // scatter-gather protocol, for one query or a batch alike. It runs the
 // scan half of Algorithm 1 per query and returns the γ-bounded partial
-// accumulator tables in the versioned wire envelope, leaving
+// accumulator tables in the versioned binary wire, leaving
 // error-model weighting, normalization, and ranking to the
 // coordinator. The body is one admission unit and one scan loop under
 // the forwarded deadline; a query that fails marks only its own entry.
@@ -45,14 +48,24 @@ func (s *Server) handleShardSuggest(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var br cluster.BatchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 4<<20)).Decode(&br); err != nil {
+	// The body is read into a pooled buffer and copied into one string,
+	// of which every decoded query is a substring.
+	buf := cluster.GetBuffer()
+	if err := cluster.ReadBody(r.Body, buf, r.ContentLength, maxShardRequest); err != nil {
+		cluster.PutBuffer(buf)
 		s.writeError(w, http.StatusBadRequest, "bad batch body: "+err.Error())
 		return
 	}
-	if br.Version != cluster.WireVersion {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("wire version %d (this shard speaks %d)", br.Version, cluster.WireVersion))
+	br, err := cluster.DecodeBatchRequest(string(*buf))
+	cluster.PutBuffer(buf)
+	if err != nil {
+		var ve *cluster.VersionError
+		if errors.As(err, &ve) {
+			s.writeError(w, http.StatusBadRequest,
+				fmt.Sprintf("wire version %d (this shard speaks %d)", ve.Got, cluster.WireVersion))
+			return
+		}
+		s.writeError(w, http.StatusBadRequest, "bad batch body: "+err.Error())
 		return
 	}
 	if len(br.Queries) == 0 {
@@ -70,7 +83,7 @@ func (s *Server) handleShardSuggest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	eng, corpus, err := s.resolveEngineByName(br.Corpus)
+	eng, corpus, err := s.resolveEngine(br.Corpus)
 	if err != nil {
 		s.writeError(w, catalogStatus(err), err.Error())
 		return
@@ -169,7 +182,6 @@ func (s *Server) handleShardSuggest(w http.ResponseWriter, r *http.Request) {
 	release()
 	took := time.Since(start)
 	resp := cluster.BatchResponse{
-		Version:    cluster.WireVersion,
 		Corpus:     corpus,
 		TookMillis: float64(took.Microseconds()) / 1000,
 		Results:    results,
@@ -187,15 +199,31 @@ func (s *Server) handleShardSuggest(w http.ResponseWriter, r *http.Request) {
 			resp.TraceSpan.AddChild(n)
 		}
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	out := cluster.GetBuffer()
+	defer cluster.PutBuffer(out)
+	body, err := cluster.AppendBatchResponse(*out, &resp)
+	*out = body
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, "encode shard response: "+err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", cluster.ContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(body); err != nil && s.cfg.Logger != nil {
+		s.cfg.Logger.Error("write shard response", "err", err)
+	}
 }
+
+// maxShardRequest caps one /shard/suggest request body.
+const maxShardRequest = 4 << 20
 
 // handleClusterSuggest serves /suggest in coordinator mode: fan out to
 // every shard (propagating the request context and ID), merge the
 // surviving partials, and answer — marked partial when any shard
 // failed, with per-shard statuses either way.
-func (s *Server) handleClusterSuggest(w http.ResponseWriter, r *http.Request, q string, k int) {
-	if r.URL.Query().Get("spaces") == "1" {
+func (s *Server) handleClusterSuggest(w http.ResponseWriter, r *http.Request, params url.Values, q string, k int) {
+	if params.Get("spaces") == "1" {
 		s.writeError(w, http.StatusNotImplemented,
 			"space-error search is not available in coordinator mode")
 		return
@@ -203,10 +231,10 @@ func (s *Server) handleClusterSuggest(w http.ResponseWriter, r *http.Request, q 
 	if s.cfg.QueryLog != nil {
 		s.cfg.QueryLog.RecordQuery(q)
 	}
-	debug := r.URL.Query().Get("debug") == "1"
+	debug := params.Get("debug") == "1"
 	rid := requestIDFrom(r.Context())
 	tc, traceParent := s.startTrace(w, r)
-	corpus := r.URL.Query().Get("corpus")
+	corpus := params.Get("corpus")
 	start := time.Now()
 	cacheKey := ""
 	if s.cache != nil {

@@ -109,10 +109,7 @@ func TestCoordinatorDebugBypassesCache(t *testing.T) {
 func TestShardSuggestHonorsDeadline(t *testing.T) {
 	ts := httptest.NewServer(New(testEngine(t), Config{RequestTimeout: time.Nanosecond}).Handler())
 	t.Cleanup(ts.Close)
-	resp, body := postJSON(t, ts.URL+"/shard/suggest", cluster.BatchRequest{
-		Version: cluster.WireVersion,
-		Queries: []string{"rose fpga"},
-	})
+	resp, body := postShard(t, ts.URL+"/shard/suggest", cluster.BatchRequest{Queries: []string{"rose fpga"}})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503: %s", resp.StatusCode, body)
 	}
@@ -145,10 +142,7 @@ func (e blockShard) SuggestPartialsContext(ctx context.Context, q string, explai
 func TestShardScanStopsWhenCoordinatorHangsUp(t *testing.T) {
 	eng := blockShard{newBlockEngine()}
 	ts := admissionServer(t, eng, Config{})
-	b, err := json.Marshal(cluster.BatchRequest{Version: cluster.WireVersion, Queries: []string{"rose fpga"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := cluster.AppendBatchRequest(nil, &cluster.BatchRequest{Queries: []string{"rose fpga"}})
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/shard/suggest", bytes.NewReader(b))
 	if err != nil {

@@ -28,7 +28,7 @@
 // With Config.Cluster set, the server is a scatter-gather coordinator:
 // /suggest fans out to entity-partitioned shard servers over
 //
-//	POST /shard/suggest {"version":2,"queries":[...]}  → per-query partial sums (versioned JSON)
+//	POST /shard/suggest (binary BatchRequest)  → per-query partial sums (binary wire, see cluster/wire.go)
 //
 // (served by any node whose engine supports partial scans) and merges
 // the partial scores into the global top-k. Degraded answers carry
@@ -311,26 +311,12 @@ func (s *Server) invalidateCorpus(name string) {
 	s.cache.ClearPrefix(corpusCachePrefix(name))
 }
 
-// resolveEngine picks the engine serving this request: the catalog
-// corpus named by ?corpus= (with default resolution when absent), or
-// the fixed engine in single-engine mode. The resolved corpus name
-// comes back for cache keys, logs, and the response ("" in
-// single-engine mode).
-func (s *Server) resolveEngine(r *http.Request) (Engine, string, error) {
-	if s.cfg.Catalog == nil {
-		return s.eng, "", nil
-	}
-	eng, name, err := s.cfg.Catalog.Resolve(r.URL.Query().Get("corpus"))
-	if err != nil {
-		return nil, name, err
-	}
-	return eng, name, nil
-}
-
-// resolveEngineByName is resolveEngine for callers that carry the
-// corpus name in a request body (the batched shard protocol) instead
-// of a ?corpus= parameter.
-func (s *Server) resolveEngineByName(name string) (Engine, string, error) {
+// resolveEngine picks the engine serving a request: the catalog corpus
+// it names (a ?corpus= parameter, or the shard request's corpus field;
+// default resolution when empty), or the fixed engine in single-engine
+// mode. The resolved corpus name comes back for cache keys, logs, and
+// the response ("" in single-engine mode).
+func (s *Server) resolveEngine(name string) (Engine, string, error) {
 	if s.cfg.Catalog == nil {
 		return s.eng, "", nil
 	}
@@ -408,7 +394,10 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	q := r.URL.Query().Get("q")
+	// The query string is parsed once; every parameter below reads the
+	// same values.
+	params := r.URL.Query()
+	q := params.Get("q")
 	if q == "" {
 		s.writeError(w, http.StatusBadRequest, "missing query parameter q")
 		return
@@ -419,7 +408,7 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	k := 0
-	if ks := r.URL.Query().Get("k"); ks != "" {
+	if ks := params.Get("k"); ks != "" {
 		v, err := strconv.Atoi(ks)
 		if err != nil || v < 1 {
 			s.writeError(w, http.StatusBadRequest, "k must be a positive integer")
@@ -429,11 +418,11 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if s.cfg.Cluster != nil {
-		s.handleClusterSuggest(w, r, q, k)
+		s.handleClusterSuggest(w, r, params, q, k)
 		return
 	}
 
-	eng, corpus, err := s.resolveEngine(r)
+	eng, corpus, err := s.resolveEngine(params.Get("corpus"))
 	if err != nil {
 		s.writeError(w, catalogStatus(err), err.Error())
 		return
@@ -443,8 +432,8 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		s.cfg.QueryLog.RecordQuery(q)
 	}
 
-	spaces := r.URL.Query().Get("spaces") == "1"
-	debug := r.URL.Query().Get("debug") == "1"
+	spaces := params.Get("spaces") == "1"
+	debug := params.Get("debug") == "1"
 	rid := requestIDFrom(r.Context())
 	tc, traceParent := s.startTrace(w, r)
 	start := time.Now()
@@ -560,7 +549,7 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	if debug {
 		resp.Explain = ex
 	}
-	if r.URL.Query().Get("preview") == "1" {
+	if params.Get("preview") == "1" {
 		for i := range resp.Suggestions {
 			resp.Suggestions[i].Preview = eng.Preview(sugs[i], previewLen)
 		}
@@ -573,7 +562,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	eng, _, err := s.resolveEngine(r)
+	eng, _, err := s.resolveEngine(r.URL.Query().Get("corpus"))
 	if err != nil {
 		s.writeError(w, catalogStatus(err), err.Error())
 		return

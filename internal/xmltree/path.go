@@ -17,11 +17,14 @@ type pathEntry struct {
 	parent PathID
 	label  string
 	depth  int32
+	// full is the memoized "/a/b/c" rendering, built once at Intern.
+	full string
 }
 
 // PathTable interns label paths as a trie so that (a) equal paths share
 // one ID, (b) the ancestor path at any depth is an O(depth) walk, and
-// (c) the full "/a/b/c" string is materialized only on demand.
+// (c) the full "/a/b/c" string is built once, when the path is
+// interned, so String never allocates.
 //
 // The zero value is ready to use.
 type PathTable struct {
@@ -50,12 +53,13 @@ func (t *PathTable) Intern(parent PathID, label string) PathID {
 	if id, ok := t.children[key]; ok {
 		return id
 	}
-	depth := int32(1)
+	depth, prefix := int32(1), ""
 	if parent != InvalidPath {
-		depth = t.entries[parent].depth + 1
+		depth, prefix = t.entries[parent].depth+1, t.entries[parent].full
 	}
 	id := PathID(len(t.entries))
-	t.entries = append(t.entries, pathEntry{parent: parent, label: label, depth: depth})
+	t.entries = append(t.entries, pathEntry{parent: parent, label: label, depth: depth,
+		full: prefix + "/" + label})
 	t.children[key] = id
 	return id
 }
@@ -121,21 +125,13 @@ func (t *PathTable) Ancestor(id PathID, depth int) PathID {
 	return id
 }
 
-// String renders path id as "/a/b/c".
+// String renders path id as "/a/b/c". It returns the string memoized
+// at Intern and does not allocate.
 func (t *PathTable) String(id PathID) string {
 	if id == InvalidPath {
 		return "/"
 	}
-	var labels []string
-	for cur := id; cur != InvalidPath; cur = t.entries[cur].parent {
-		labels = append(labels, t.entries[cur].label)
-	}
-	var b strings.Builder
-	for i := len(labels) - 1; i >= 0; i-- {
-		b.WriteByte('/')
-		b.WriteString(labels[i])
-	}
-	return b.String()
+	return t.entries[id].full
 }
 
 // Len is the number of interned paths.
@@ -146,7 +142,8 @@ func (t *PathTable) Len() int { return len(t.entries) }
 // append-only the clone assigns every already-interned path the same
 // ID, so indexes built against the original keep resolving against the
 // clone. This is what lets an immutable published table serve readers
-// while a writer extends a private copy.
+// while a writer extends a private copy. The clone shares the memoized
+// path strings.
 func (t *PathTable) Clone() *PathTable {
 	c := &PathTable{
 		entries:  make([]pathEntry, len(t.entries)),

@@ -118,3 +118,22 @@ func TestSerializeRoundtripWithAttrs(t *testing.T) {
 		t.Error("stats diverge after roundtrip")
 	}
 }
+
+// String returns the path memoized at Intern: no allocation, on the
+// table and on its clones alike.
+func TestPathTableStringAllocFree(t *testing.T) {
+	pt := NewPathTable()
+	id := pt.InternPath("/dblp/article/title")
+	cl := pt.Clone()
+	if cl.String(id) != "/dblp/article/title" {
+		t.Fatalf("clone renders %q", cl.String(id))
+	}
+	var sink string
+	if n := testing.AllocsPerRun(100, func() { sink = pt.String(id) }); n != 0 {
+		t.Fatalf("String allocates %v per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = cl.String(id) }); n != 0 {
+		t.Fatalf("clone String allocates %v per call", n)
+	}
+	_ = sink
+}

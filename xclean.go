@@ -443,8 +443,10 @@ func (e *Engine) currentIndex() (*invindex.Index, error) {
 // PartialSet is one shard's un-normalized answer for one query: the
 // per-keyword variant hits, per-candidate partial entity sums, and
 // local per-type normalizers that a cluster coordinator folds into the
-// global top-k (see internal/cluster). It is the payload of the
-// /shard/suggest wire format.
+// global top-k (see internal/cluster). It is index-keyed: candidates
+// name their words and result type by index into the set's variant
+// lists and path dictionary, and carry the witness as a fixed-width
+// Dewey key. It is the payload of the binary /shard/suggest wire.
 type PartialSet = core.PartialSet
 
 // SuggestPartials runs the scan half of a suggestion call and returns
@@ -463,7 +465,7 @@ func (e *Engine) SuggestPartials(query string) (PartialSet, error) {
 // the stage spans of the scan (obs.Span per stage, per worker) — the
 // shard half of distributed tracing: a traced coordinator request asks
 // for them so every shard's per-stage timing rides back in the
-// response envelope and stitches into the cluster-wide trace.
+// shard response and stitches into the cluster-wide trace.
 func (e *Engine) SuggestPartialsContext(ctx context.Context, query string, explain bool) (PartialSet, []obs.Span, error) {
 	if e.core == nil {
 		return PartialSet{}, nil, fmt.Errorf("xclean: shard partials require the result-type semantics")
